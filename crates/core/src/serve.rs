@@ -11,14 +11,14 @@
 //! combined [`LaneGraph`] holding, per admitted request *incarnation*:
 //!
 //! * an **admission task** that reserves the request's worst-case page
-//!   budget — forking a live neighbor's ref-counted blocks when their
-//!   prompts share a prefix (any length: full pages are ref-shared, the
-//!   sub-page remainder is recovered by a leading-row copy), or reusing
-//!   pages from the **global radix prefix cache**
-//!   ([`llmnpu_kv::PrefixCache`]): prompt prefixes computed by *any*
-//!   earlier request, live or long gone, are reused with no donor
-//!   declaration — the shared system prompt is allocated and prefilled
-//!   **once per session**, not once per batch,
+//!   budget on top of any prompt prefix it reuses from the **global
+//!   radix prefix cache** ([`llmnpu_kv::PrefixCache`]) — full pages are
+//!   ref-shared, the sub-page remainder is recovered by a leading-row
+//!   copy. The cache is the one prefix-reuse mechanism: pages come from
+//!   a request earlier in the *same* planning round (the planner sees
+//!   its promised, still-pending pages and gates the reader on that
+//!   producer's prefill) or from any earlier round, live or long gone —
+//!   the shared system prompt is allocated and prefilled **once**,
 //! * the request's **chunked-prefill DAG** over its *unshared suffix*,
 //!   writing K/V straight into the pool through the request's block
 //!   table (position-addressed, so out-of-order chunks can't reorder
@@ -53,15 +53,29 @@
 //! both before returning. A long-running front-end (see
 //! [`crate::frontend`]) instead opens a [`ServeSession`] once and calls
 //! [`LlmNpuEngine::serve_with_session`] per batch: cached prompt
-//! prefixes (every completed prefill inserts its full prompt pages)
-//! survive *across* batches, so a later request sharing a system prompt
-//! with any earlier one reuses those pages even though the producer is
-//! long released. Cached pages are ref-counted residents of the pool;
-//! under admission pressure the planner evicts cold cached prefixes
-//! (LRU, refusing pages mid-reuse or claimed by the current round)
-//! before it resorts to preempting live requests. The zero-leak
-//! invariant becomes: used pages minus cache-resident pages is zero
-//! after every batch, and exactly zero after a session flush.
+//! prefixes survive *across* batches, so a later request sharing a
+//! system prompt with any earlier one reuses those pages even though
+//! the producer is long released.
+//!
+//! Within a round, every admission promises its full prompt pages to
+//! the cache as *pending* nodes, and its prefill-finish task fills them
+//! (publishing the pages for later batches too). A later admission
+//! whose lookup matches pending pages waits for each producer's
+//! prefill; should a producer never publish (failed, cancelled), the
+//! reader's admission fails as a contained error and its retry round
+//! replans it. The planner never preempts a producer with readers, and
+//! takes the pages they read back only as its last resort under
+//! pressure, once nothing is active: it hides them from the rest of
+//! the round, and the admission that needs them evicts them after the
+//! producer and every reader are done — so a reused page is resident
+//! from the producer's insert until its readers have retained it.
+//!
+//! Cached pages are ref-counted residents of the pool; under admission
+//! pressure the planner evicts cold cached prefixes (LRU, refusing
+//! pages mid-reuse or claimed by the current round) before it resorts
+//! to preempting live requests. The zero-leak invariant becomes: used
+//! pages minus cache-resident pages is zero after every batch, and
+//! exactly zero after a session flush.
 //!
 //! # Determinism
 //!
@@ -79,8 +93,8 @@
 //! # Failure containment
 //!
 //! Serving is a *service*, so one request's failure is never the run's
-//! failure. The combined graph executes in the fault-contained mode of
-//! `llmnpu-sched` (`execute_lane_graph_isolated`): a panic or error in
+//! failure. The combined graph executes on `llmnpu-sched`'s
+//! fault-contained executor (`execute_lane_graph`): a panic or error in
 //! one request's stage closure fails only that request's chain, a
 //! dispatch gate skips tasks whose request was cancelled
 //! ([`CancelToken`]) or is past its [`GenerationRequest::deadline_ms`],
@@ -98,7 +112,7 @@
 //! [`Sampler`]: llmnpu_model::sample::Sampler
 //! [`Transformer::generate`]: llmnpu_model::forward::Transformer::generate
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -106,15 +120,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::{build_prefill_dag, PrefillDag, TaskRole};
 use llmnpu_graph::layer::Stage;
-use llmnpu_kv::{BlockPool, CachedPrefix, PoolConfig, PrefixCache, PrefixCacheMetrics};
+use llmnpu_kv::{
+    BlockPool, CachedBlock, CachedPrefix, PoolConfig, PrefixCache, PrefixCacheMetrics,
+};
 use llmnpu_model::forward::{PagedDecodeEntry, Transformer};
 use llmnpu_model::kv::PagedKvCache;
 use llmnpu_model::sample::{Sampler, SamplerConfig};
 use llmnpu_obs::metrics::LATENCY_BUCKETS_MS;
 use llmnpu_obs::{EventKind, MetricsSnapshot, Observability, Plane, TraceSink, TraceSpan};
 use llmnpu_sched::{
-    execute_lane_graph_isolated_traced, GateFn, LaneGraph, LaneTask, PrefillProgram, TaskFn,
-    TaskOutcome,
+    execute_lane_graph, GateFn, LaneGraph, LaneTask, PrefillProgram, TaskFn, TaskOutcome,
 };
 use llmnpu_soc::memory::MemoryModel;
 use llmnpu_soc::{Millis, Processor};
@@ -387,13 +402,12 @@ pub struct ServeOptions {
     /// GEMM per linear site. `1` keeps each request's steps separate
     /// GEMVs. Ignored (treated as 1) for non-row-wise backends.
     pub decode_batch: usize,
-    /// Share common prompt prefixes: between concurrently active
-    /// requests (allocate + prefill once, ref-count the pages — any
-    /// prefix length, full pages ref-shared and the sub-page tail
-    /// row-copied), and across time through the global prefix cache
-    /// (completed prefills cache their full prompt pages; later
-    /// requests reuse them with no donor declaration). Ignored for
-    /// non-row-wise backends.
+    /// Share common prompt prefixes through the global prefix cache:
+    /// every prefill publishes its full prompt pages, and a later
+    /// request — in the same planning round or any later one — whose
+    /// prompt starts with them allocates and prefills them once,
+    /// ref-counting the pages (any prefix length: full pages ref-shared,
+    /// the sub-page tail row-copied). Ignored for non-row-wise backends.
     pub share_prefixes: bool,
     /// Streaming token callback, if any.
     pub on_token: Option<TokenSink>,
@@ -457,7 +471,7 @@ impl fmt::Debug for ServeOptions {
 /// What a serving-timeline span implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeTaskKind {
-    /// Page reservation (and prefix fork) at admission.
+    /// Page reservation (on top of any reused prefix) at admission.
     Admit,
     /// One stage task of the request's chunked-prefill DAG.
     PrefillStage {
@@ -692,13 +706,17 @@ pub struct KvPoolReport {
     pub leaked_blocks: usize,
     /// Memory-pressure evictions (preempted incarnations).
     pub evictions: usize,
-    /// Pages that were *shared* instead of re-allocated thanks to
-    /// live-donor prefix sharing (sum over admissions).
+    /// Full pages reused from a producer admitted in the *same* round
+    /// (pages still pending when the reader was planned) instead of
+    /// re-allocated — sum over admissions. The same-round part of
+    /// `prefix_cache_hit_blocks`, which also counts pages cached by
+    /// earlier rounds.
     pub shared_prefix_blocks: usize,
     /// Copy-on-write page copies the pool performed.
     pub cow_copies: u64,
-    /// Global prefix-cache lookups that matched at least one token
-    /// (this run's share of the session cache's counters).
+    /// Global prefix-cache lookups that matched at least one token,
+    /// same-round (pending) matches included (this run's share of the
+    /// session cache's counters).
     pub prefix_cache_hits: u64,
     /// Prefix-cache lookups that matched nothing.
     pub prefix_cache_misses: u64,
@@ -710,7 +728,8 @@ pub struct KvPoolReport {
     /// Pages newly retained by prefix-cache inserts at prefill
     /// completion.
     pub prefix_cache_inserted_blocks: u64,
-    /// Cached-prefix pages evicted by the planner under pool pressure.
+    /// Cached-prefix pages evicted under pool pressure: by the planner,
+    /// or by the admission that reclaimed a same-round producer's pages.
     pub prefix_cache_evictions: u64,
     /// Pages still resident in the prefix cache when this report was
     /// taken (zero for transient [`LlmNpuEngine::serve`] runs, which
@@ -843,8 +862,8 @@ fn queue_depth_series(outcomes: &[RequestOutcome], timeline: &ServeTimeline) -> 
 /// radix prefix cache, shared by every batch served through
 /// [`LlmNpuEngine::serve_with_session`]. Prompt prefixes prefilled by an
 /// earlier batch stay resident (ref-held by the cache) and are adopted
-/// by later requests with matching prompts — no donor in the same
-/// batch, no submit-time declaration. Dropping the session drops the
+/// by later requests with matching prompts, with no submit-time
+/// declaration. Dropping the session drops the
 /// pool slab; call [`ServeSession::flush`] first to assert emptiness.
 #[derive(Debug)]
 pub struct ServeSession {
@@ -921,20 +940,10 @@ enum GateKind {
     /// anchored at its Release task — or its Evicted task, which *is*
     /// the terminal of a preempted incarnation.
     Done,
-    /// Wait for the segment's prefill to finish (its KV prefix is fully
-    /// written — what a prefix sharer needs).
+    /// Wait for the segment's prefill to finish (its prompt pages are
+    /// written and published to the prefix cache — what a reader of its
+    /// pending pages needs).
     PrefillDone,
-}
-
-/// A shared prompt prefix chosen by the planner (live donor).
-#[derive(Debug, Clone, Copy)]
-struct SharedPrefix {
-    /// Segment whose table donates the blocks.
-    donor_seg: usize,
-    /// Shared tokens — any length: the full pages below it are
-    /// ref-shared from the donor, the sub-page remainder is recovered
-    /// by a leading-row copy at admission.
-    tokens: usize,
 }
 
 /// One planned incarnation of a request.
@@ -946,58 +955,58 @@ struct SegmentPlan {
     evicted: bool,
     /// Admission gates on earlier segments.
     gates: Vec<(usize, GateKind)>,
-    /// Live-donor prefix share (mutually exclusive with `cached`).
-    shared: Option<SharedPrefix>,
-    /// Global prefix-cache hit reused at admission: the cached full
-    /// pages are retained into the request's table, the partial tail
-    /// (if any) row-copied. No donor gate — the producer may be long
-    /// gone.
-    cached: Option<CachedPrefix>,
+    /// Prefix-cache hit reused at admission: its full pages are
+    /// retained into the request's table, the partial tail (if any)
+    /// row-copied. Pages still pending at plan time belong to earlier
+    /// segments of this round, which `gates` waits on (`PrefillDone`).
+    hit: Option<CachedPrefix>,
     /// Decode cohort id (`usize::MAX` for evicted segments).
     cohort: usize,
-    /// Segments that fork this segment's blocks: their Admit must
-    /// precede this segment's Release.
-    sharer_segs: Vec<usize>,
+    /// Fresh pages reserved at admission (beyond whole reused pages).
+    fresh: usize,
     /// Full prompt pages this segment's prefill leaves resident in the
-    /// global prefix cache past its release — the planner's *final*
-    /// figure after pressure reclaims (zero for evicted incarnations or
-    /// pages a later admission already took back).
+    /// global prefix cache past its release — the pages it promised as
+    /// pending nodes; zeroed if it is preempted or its promise is
+    /// withdrawn (the pages then return to the pool at its release).
     retained: usize,
+    /// Released in the plan (left the active set): its fresh pages,
+    /// minus `retained`, are back in the planner's free count.
+    released: bool,
+    /// Later admissions whose hit reads this segment's pending pages.
+    readers: Vec<usize>,
+    /// A later admission takes `retained` back (see `reclaims`).
+    reclaimed: bool,
+    /// Released segments whose retained pages — read by released
+    /// readers — this admission evicts from the cache before it
+    /// reserves, once they and their readers are done (`gates`).
+    reclaims: Vec<usize>,
 }
 
 impl SegmentPlan {
-    /// Prompt tokens covered by any prefix reuse (donor or cache),
-    /// including a row-copied partial tail — where this segment's own
-    /// prefill starts.
+    /// Prompt tokens covered by the reused prefix, including a
+    /// row-copied partial tail — where this segment's own prefill
+    /// starts.
     fn prefix_tokens(&self) -> usize {
-        match (&self.shared, &self.cached) {
-            (Some(sh), _) => sh.tokens,
-            (None, Some(hit)) => hit.matched_tokens(),
-            (None, None) => 0,
-        }
+        self.hit.as_ref().map_or(0, CachedPrefix::matched_tokens)
     }
 
     /// Prefix tokens covered by *whole* reused pages (the part that
     /// costs no fresh blocks; the tail rows live in a fresh page).
-    fn prefix_full_tokens(&self, block_tokens: usize) -> usize {
-        match (&self.shared, &self.cached) {
-            (Some(sh), _) => sh.tokens - sh.tokens % block_tokens,
-            (None, Some(hit)) => hit.tokens,
-            (None, None) => 0,
-        }
+    fn prefix_full_tokens(&self) -> usize {
+        self.hit.as_ref().map_or(0, |hit| hit.tokens)
     }
-}
 
-/// Plan-time page bookkeeping: groups of physically co-released blocks.
-#[derive(Debug)]
-struct PlanGroup {
-    blocks: usize,
-    holders: usize,
-    /// Blocks of this group that stay resident past its release —
-    /// the full prompt pages the owning segment's prefill-finish task
-    /// inserts into the global prefix cache. Zeroed if the owner is
-    /// evicted (a preempted incarnation never reaches its insert).
-    retained: usize,
+    /// Full pages reused from each same-round producer: `(producer,
+    /// pages)`, ascending by producer.
+    fn reused_pages(&self) -> Vec<(usize, usize)> {
+        let mut pages: BTreeMap<usize, usize> = BTreeMap::new();
+        for block in self.hit.iter().flat_map(|hit| &hit.blocks) {
+            if let CachedBlock::Pending(p) = *block {
+                *pages.entry(p).or_default() += 1;
+            }
+        }
+        pages.into_iter().collect()
+    }
 }
 
 struct Planner<'r> {
@@ -1008,8 +1017,9 @@ struct Planner<'r> {
     pool: &'r BlockPool,
     /// The session's global prefix cache. Lookups happen lazily inside
     /// [`Planner::admit`], in admission order, so claim stamps accrue
-    /// exactly as the plan consumes hits and unclaimed entries stay
-    /// evictable for later admissions.
+    /// exactly as the plan consumes hits, unclaimed entries stay
+    /// evictable for later admissions, and each admission's own
+    /// pending pages are visible to the ones after it.
     cache: &'r PrefixCache,
     max_active: usize,
     pressure: PressurePolicy,
@@ -1019,10 +1029,6 @@ struct Planner<'r> {
     /// Plan-plane event sink, when observability is attached.
     sink: Option<&'r TraceSink>,
     segments: Vec<SegmentPlan>,
-    groups: Vec<PlanGroup>,
-    /// Groups each segment holds (its own + every group its shared
-    /// donor held, transitively) — conservative co-release tracking.
-    held: Vec<Vec<usize>>,
     /// Active segments in admission order.
     active: Vec<usize>,
     /// Latest planned segment of each request — a re-admission must
@@ -1033,72 +1039,13 @@ struct Planner<'r> {
     free: usize,
 }
 
-fn common_prefix_len(a: &[u32], b: &[u32]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
 impl<'r> Planner<'r> {
-    /// The longest usable shared prefix between request `req` and any
-    /// active segment: fully inside the donor's *prompt* (only
-    /// prefilled pages are shareable), leaving the sharer at least one
-    /// suffix token to prefill, and spanning at least one whole page
-    /// (a sub-page overlap is not worth a PrefillDone gate on the
-    /// donor). No block or chunk alignment beyond that — full pages
-    /// are ref-shared, the remainder rows are copied.
-    fn best_share(&self, req: usize) -> Option<SharedPrefix> {
-        if !self.share {
-            return None;
-        }
-        let prompt = &self.requests[req].prompt;
-        let mut best: Option<SharedPrefix> = None;
-        for &seg in &self.active {
-            let donor_req = self.segments[seg].req;
-            let lcp = common_prefix_len(prompt, &self.requests[donor_req].prompt);
-            let cap = lcp.min(prompt.len() - 1);
-            if cap < self.pool_cfg.block_tokens {
-                continue;
-            }
-            if best.is_none_or(|b| cap > b.tokens) {
-                best = Some(SharedPrefix {
-                    donor_seg: seg,
-                    tokens: cap,
-                });
-            }
-        }
-        best
-    }
-
-    /// Fresh blocks a segment needs beyond whole reused prefix pages.
-    fn fresh_blocks(&self, req: usize, prefix_full_tokens: usize) -> usize {
-        self.pool_cfg
-            .blocks_for(self.requests[req].total_tokens() - prefix_full_tokens)
-    }
-
-    /// Full prompt pages request `req` retains in the prefix cache at
-    /// prefill completion, beyond pages already reused from a prefix
-    /// (those were cached or donor-held before — re-inserting them adds
-    /// no residency). Conservative under insert collisions: first-wins
-    /// means a colliding insert retains nothing, so the plan may
-    /// over-charge (never under-charge) residency.
-    fn retained_blocks(&self, req: usize, prefix_full_tokens: usize) -> usize {
-        if !self.share {
-            return 0;
-        }
-        let bt = self.pool_cfg.block_tokens;
-        self.requests[req].prompt.len() / bt - prefix_full_tokens / bt
-    }
-
-    /// Releases an active segment's planned pages (group holders
-    /// decrement; fully released groups return to `free`, minus what
-    /// the group's owner retains in the prefix cache).
+    /// Releases an active segment's planned pages: its fresh pages
+    /// return to `free`, minus what it retains in the prefix cache.
     fn release_plan(&mut self, seg: usize) {
-        let held = std::mem::take(&mut self.held[seg]);
-        for g in held {
-            self.groups[g].holders -= 1;
-            if self.groups[g].holders == 0 {
-                self.free += self.groups[g].blocks - self.groups[g].retained;
-            }
-        }
+        let s = &mut self.segments[seg];
+        s.released = true;
+        self.free += s.fresh - s.retained;
     }
 
     /// Emits a Plan-plane pressure-ladder event for request `req`.
@@ -1122,44 +1069,28 @@ impl<'r> Planner<'r> {
         attempt: usize,
         pending: &mut VecDeque<(usize, usize)>,
     ) -> Result<usize> {
-        let mut shared = self.best_share(req);
-        // Global prefix-cache probe, capped so at least one suffix
-        // token remains to prefill. The lookup stamps the matched nodes
-        // with the current round — an eviction claim that keeps the hit
-        // resident until this admission physically retains it. A live
-        // donor wins only when it covers strictly more tokens (a cache
-        // hit costs no gate and holds no donor pages).
-        let mut probe: Option<CachedPrefix> = None;
+        // Prefix-cache probe, capped so at least one suffix token
+        // remains to prefill. The lookup stamps the matched nodes with
+        // the current round — an eviction claim that keeps the hit
+        // resident until this admission physically retains it. Pending
+        // pages of earlier segments this round match like cached ones.
         let prompt = &self.requests[req].prompt;
-        if self.share && prompt.len() > 1 {
-            let hit = self.cache.lookup(&prompt[..prompt.len() - 1]);
-            if hit.matched_tokens() > 0 {
-                probe = Some(hit);
-            }
-        }
-        let mut cached: Option<CachedPrefix> = None;
-        if let Some(hit) = &probe {
-            if shared.is_none_or(|sh| sh.tokens <= hit.matched_tokens()) {
-                shared = None;
-                cached = probe.clone();
-            }
-        }
+        let hit = if self.share && prompt.len() > 1 {
+            Some(self.cache.lookup(&prompt[..prompt.len() - 1]))
+                .filter(|hit| hit.matched_tokens() > 0)
+        } else {
+            None
+        };
+        let producers = hit.as_ref().map_or_else(Vec::new, CachedPrefix::producers);
+        let need = self
+            .pool_cfg
+            .blocks_for(self.requests[req].total_tokens() - hit.as_ref().map_or(0, |h| h.tokens));
         let mut gates: Vec<(usize, GateKind)> = Vec::new();
+        let mut reclaims: Vec<usize> = Vec::new();
         if let Some(prev) = self.last_seg_of_req[req] {
             gates.push((prev, GateKind::Done));
         }
         loop {
-            // A donor forgotten under pressure hands back to the cache
-            // hit (still claim-protected this round).
-            if shared.is_none() && cached.is_none() {
-                cached = probe.clone();
-            }
-            let prefix_full = match (&shared, &cached) {
-                (Some(sh), _) => sh.tokens - sh.tokens % self.pool_cfg.block_tokens,
-                (None, Some(hit)) => hit.tokens,
-                (None, None) => 0,
-            };
-            let need = self.fresh_blocks(req, prefix_full);
             if self.active.len() < self.max_active && need <= self.free {
                 break;
             }
@@ -1168,7 +1099,6 @@ impl<'r> Planner<'r> {
                 // (continuous batching's "a slot frees, the next joins").
                 let seg = self.active.remove(0);
                 self.release_plan(seg);
-                self.forget_donor(&mut shared, seg);
                 gates.push((seg, GateKind::Done));
                 continue;
             }
@@ -1179,64 +1109,79 @@ impl<'r> Planner<'r> {
             // so the round's budget proof sees them. Claimed (this
             // round) and mid-reuse entries are refused, so a hit relied
             // on above cannot be pulled out from under its admission.
-            if need > self.free {
-                let evicted = self
-                    .cache
-                    .evict_lru(self.pool, need - self.free)
-                    .map_err(kv_err)?;
-                if evicted > 0 {
-                    self.trace_pressure(req, || {
-                        format!("stage 1: {evicted} cached page(s) evicted")
-                    });
-                    self.free += evicted;
-                    continue;
-                }
+            let evicted = self
+                .cache
+                .evict_lru(self.pool, need - self.free)
+                .map_err(kv_err)?;
+            if evicted > 0 {
+                self.trace_pressure(req, || format!("stage 1: {evicted} cached page(s) evicted"));
+                self.free += evicted;
+                continue;
             }
             // Memory pressure, stage 2: take back full prompt pages that
             // earlier admissions of *this* round plan to leave in the
-            // cache, where the owning group is already fully released.
-            // The runtime admission valve re-evicts them from the cache
-            // once the owner's release has actually run (the Done gate
-            // below orders that), so the budget may count them free.
-            if need > self.free {
-                let mut reclaimed = 0usize;
-                for g in 0..self.groups.len() {
-                    if self.free + reclaimed >= need {
-                        break;
-                    }
-                    if self.groups[g].holders == 0 && self.groups[g].retained > 0 {
-                        reclaimed += self.groups[g].retained;
-                        self.groups[g].retained = 0;
-                        gates.push((g, GateKind::Done));
-                    }
+            // cache, where the owner is already released and this
+            // admission does not read them. A promise nobody reads is
+            // withdrawn: the owner never publishes the pages and they
+            // return to the pool at its release. A promise with readers
+            // is taken back only as the last resort, once nothing is
+            // active (so its readers are released too): it is closed to
+            // later lookups, the owner still publishes for its readers,
+            // and this admission evicts the pages — with the readers'
+            // own retained pages below them — once all of them are
+            // done. The Done gates order both.
+            let mut reclaimed = 0usize;
+            for g in 0..self.segments.len() {
+                if self.free + reclaimed >= need {
+                    break;
                 }
-                if reclaimed > 0 {
-                    self.trace_pressure(req, || {
-                        format!("stage 2: {reclaimed} retained page(s) reclaimed")
-                    });
-                    self.free += reclaimed;
+                let s = &self.segments[g];
+                if !s.released || s.retained == 0 || s.reclaimed || producers.contains(&g) {
                     continue;
                 }
+                if s.readers.is_empty() {
+                    reclaimed += s.retained;
+                    self.segments[g].retained = 0;
+                    self.cache.drop_pending(g);
+                    gates.push((g, GateKind::Done));
+                } else if self.active.is_empty() {
+                    let readers = s.readers.clone();
+                    for m in std::iter::once(g).chain(readers) {
+                        let s = &mut self.segments[m];
+                        if s.retained > 0 && !s.reclaimed {
+                            s.reclaimed = true;
+                            reclaimed += s.retained;
+                            reclaims.push(m);
+                        }
+                        gates.push((m, GateKind::Done));
+                    }
+                    self.cache.close_pending(g);
+                }
             }
-            // Memory pressure, stage 3: preempt live work.
-            if self.pressure == PressurePolicy::EvictYoungest && attempt == 0 {
-                // Youngest active that nobody shares pages from (a
-                // donor's pages must outlive its sharers' admissions).
-                let victim = (0..self.active.len()).rev().find(|&i| {
-                    let seg = self.active[i];
-                    self.segments[seg].sharer_segs.is_empty()
-                        && shared.is_none_or(|s| s.donor_seg != seg)
+            if reclaimed > 0 {
+                self.trace_pressure(req, || {
+                    format!("stage 2: {reclaimed} retained page(s) reclaimed")
                 });
+                self.free += reclaimed;
+                continue;
+            }
+            // Memory pressure, stage 3: preempt the youngest active
+            // segment nobody (planned, or this admission) reads pages
+            // from: a producer's pages must be published for its readers.
+            if self.pressure == PressurePolicy::EvictYoungest && attempt == 0 {
+                let victim = self
+                    .active
+                    .iter()
+                    .rposition(|&s| self.segments[s].readers.is_empty() && !producers.contains(&s));
                 if let Some(i) = victim {
                     let seg = self.active.remove(i);
-                    self.segments[seg].evicted = true;
-                    self.segments[seg].cohort = usize::MAX;
+                    let s = &mut self.segments[seg];
+                    s.evicted = true;
+                    s.cohort = usize::MAX;
                     // A preempted incarnation never reaches its
                     // prefill-finish insert: nothing stays resident.
-                    let own = self.held[seg].first().copied();
-                    if let Some(g) = own {
-                        self.groups[g].retained = 0;
-                    }
+                    s.retained = 0;
+                    self.cache.drop_pending(seg);
                     self.release_plan(seg);
                     gates.push((seg, GateKind::Done));
                     let (vr, va) = (self.segments[seg].req, self.segments[seg].attempt);
@@ -1258,49 +1203,37 @@ impl<'r> Planner<'r> {
             }
             let seg = self.active.remove(0);
             self.release_plan(seg);
-            self.forget_donor(&mut shared, seg);
             gates.push((seg, GateKind::Done));
         }
 
         let seg = self.segments.len();
-        let prefix_full = match (&shared, &cached) {
-            (Some(sh), _) => sh.tokens - sh.tokens % self.pool_cfg.block_tokens,
-            (None, Some(hit)) => hit.tokens,
-            (None, None) => 0,
-        };
-        let fresh = self.fresh_blocks(req, prefix_full);
-        let own_group = self.groups.len();
-        self.groups.push(PlanGroup {
-            blocks: fresh,
-            holders: 1,
-            retained: self.retained_blocks(req, prefix_full),
-        });
-        self.free -= fresh;
-        let mut held = vec![own_group];
-        if let Some(s) = shared {
-            // Hold everything the donor holds: those pages cannot be
-            // counted free until this segment also releases.
-            let donor_held = self.held[s.donor_seg].clone();
-            for g in donor_held {
-                self.groups[g].holders += 1;
-                held.push(g);
-            }
-            gates.push((s.donor_seg, GateKind::PrefillDone));
-            self.segments[s.donor_seg].sharer_segs.push(seg);
+        for &p in &producers {
+            self.segments[p].readers.push(seg);
+            gates.push((p, GateKind::PrefillDone));
         }
-        self.held.push(held);
         gates.sort_by_key(|&(g, k)| (g, k == GateKind::PrefillDone));
         gates.dedup();
+        // Promise this segment's own full prompt pages to later
+        // admissions of the round.
+        let retained = if self.share {
+            self.cache.insert_pending(prompt, seg)
+        } else {
+            0
+        };
+        self.free -= need;
         self.segments.push(SegmentPlan {
             req,
             attempt,
             evicted: false,
             gates,
-            shared,
-            cached,
+            hit,
             cohort: usize::MAX,
-            sharer_segs: Vec::new(),
-            retained: 0, // finalized from the group table after planning
+            fresh: need,
+            retained,
+            released: false,
+            readers: Vec::new(),
+            reclaimed: false,
+            reclaims,
         });
         self.last_seg_of_req[req] = Some(seg);
         self.active.push(seg);
@@ -1310,18 +1243,10 @@ impl<'r> Planner<'r> {
                 Plane::Plan,
                 EventKind::Admission,
                 Some(self.orig_ids[req]),
-                || format!("attempt {attempt}: {fresh} fresh page(s), {gates} gate(s)"),
+                || format!("attempt {attempt}: {need} fresh page(s), {gates} gate(s)"),
             );
         }
         Ok(seg)
-    }
-
-    /// Drops a pending share whose donor just left the active set
-    /// (its pages are no longer guaranteed resident at our admission).
-    fn forget_donor(&self, shared: &mut Option<SharedPrefix>, seg: usize) {
-        if shared.is_some_and(|s| s.donor_seg == seg) {
-            *shared = None;
-        }
     }
 }
 
@@ -1329,6 +1254,8 @@ impl<'r> Planner<'r> {
 /// Lookups against (and pressure evictions from) the global prefix
 /// cache happen here, at plan time — `pool` must be the live pool so
 /// evicted cached pages free physically before any task executes.
+/// Returns the segments, the cohort count, and the full pages reused
+/// from same-round producers.
 #[allow(clippy::too_many_arguments)] // internal plumbing of `serve`
 fn plan_batch(
     requests: &[GenerationRequest],
@@ -1354,8 +1281,6 @@ fn plan_batch(
         orig_ids,
         sink,
         segments: Vec::new(),
-        groups: Vec::new(),
-        held: Vec::new(),
         active: Vec::new(),
         last_seg_of_req: vec![None; requests.len()],
     };
@@ -1367,42 +1292,37 @@ fn plan_batch(
     // Decode cohorts: consecutive surviving segments batch together
     // until the width cap, or until a segment *fully waits* on a cohort
     // member (a Done gate inside the cohort would deadlock the step
-    // barrier; PrefillDone gates — prefix sharing — are fine).
+    // barrier; PrefillDone gates — prefix reuse — are fine). A preempted
+    // segment waiting on a member closes the cohort too: its gate needs
+    // the member's Release, so the cohort's decode chain is built right
+    // there and no later segment can join it.
     let mut cohorts = 0usize;
     let mut current: Vec<usize> = Vec::new();
     let n = planner.segments.len();
     for seg in 0..n {
-        if planner.segments[seg].evicted {
-            continue;
-        }
         let waits_on_member = planner.segments[seg]
             .gates
             .iter()
             .any(|&(g, k)| k == GateKind::Done && current.contains(&g));
-        if !current.is_empty() && (current.len() >= decode_batch || waits_on_member) {
+        let evicted = planner.segments[seg].evicted;
+        if !current.is_empty() && (waits_on_member || (!evicted && current.len() >= decode_batch)) {
             cohorts += 1;
             current.clear();
         }
-        planner.segments[seg].cohort = cohorts;
-        current.push(seg);
+        if !evicted {
+            planner.segments[seg].cohort = cohorts;
+            current.push(seg);
+        }
     }
     if !current.is_empty() {
         cohorts += 1;
-    }
-    // Finalize per-segment cache residency from the group table (one
-    // group per segment, same index): pressure stages may have zeroed a
-    // group's retained count after its segment was pushed.
-    for s in 0..planner.groups.len() {
-        planner.segments[s].retained = planner.groups[s].retained;
     }
 
     let shared_blocks: usize = planner
         .segments
         .iter()
-        .map(|s| {
-            s.shared
-                .map_or(0, |sh| sh.tokens / pool.config().block_tokens)
-        })
+        .flat_map(SegmentPlan::reused_pages)
+        .map(|(_, pages)| pages)
         .sum();
     Ok((planner.segments, cohorts, shared_blocks))
 }
@@ -1545,9 +1465,9 @@ impl LlmNpuEngine {
     /// this engine's pool: per-request chunked-prefill DAGs and decode
     /// chains interleave on the per-processor lanes under the engine's
     /// scheduling policy, honoring arrival times, the admission cap,
-    /// and — new with the paged KV subsystem — the page budget of a
-    /// shared [`BlockPool`], with prefix sharing, optional preemption
-    /// under memory pressure, and batched decode GEMMs.
+    /// and the page budget of a shared [`BlockPool`], with prefix reuse
+    /// through the prefix cache, optional preemption under memory
+    /// pressure, and batched decode GEMMs.
     ///
     /// `t` is the numeric transformer the requests run on (its
     /// configuration drives the per-request DAGs, exactly as in
@@ -1644,10 +1564,10 @@ impl LlmNpuEngine {
     /// Serves one batch on a persistent [`ServeSession`]: exactly
     /// [`LlmNpuEngine::serve`], except the pool and the global prefix
     /// cache outlive the call — prompt prefixes prefilled by *earlier
-    /// batches* are reused from cache (no donor declaration, no shared
-    /// round), and the pages this batch's prefills cache stay resident
-    /// for later ones. The zero-leak proof nets out cache residents:
-    /// used pages beyond the cache's holdings must be zero on return.
+    /// batches* are reused from cache, and the pages this batch's
+    /// prefills cache stay resident for later ones. The zero-leak proof
+    /// nets out cache residents: used pages beyond the cache's holdings
+    /// must be zero on return.
     ///
     /// # Errors
     ///
@@ -2081,13 +2001,6 @@ impl LlmNpuEngine {
                 cancel: req.cancel.clone(),
             })
             .collect();
-        // Per-segment prefill-completion flags: a prefix sharer's Admit
-        // refuses to fork from a donor whose prefill never completed
-        // (failed or skipped) — the sharer fails cleanly (and retries
-        // unshared) instead of forking a half-written cache.
-        let seg_prefill_ok: Vec<AtomicBool> =
-            segments.iter().map(|_| AtomicBool::new(false)).collect();
-
         // Per-segment prefill machinery over the unshared suffix.
         let mut dags: Vec<PrefillDag> = Vec::with_capacity(segments.len());
         let mut plans: Vec<ChunkPlan> = Vec::with_capacity(segments.len());
@@ -2249,10 +2162,8 @@ impl LlmNpuEngine {
                 }
             }
             // Record each member's final decode task; the Release task
-            // is emitted separately (and possibly later — it must wait
-            // for every *sharer* of the member's blocks to have an
-            // Admit task in the graph, and a sharer can be a segment
-            // that is not built yet at an early cohort flush).
+            // is emitted separately, when a later segment first gates
+            // on it or in the final sweep.
             for (i, &s) in members.iter().enumerate() {
                 builds[s].last_decode = Some(chain_prev[i]);
             }
@@ -2260,12 +2171,9 @@ impl LlmNpuEngine {
         }
 
         /// Emits one segment's Release task: pages go back once the
-        /// member's stream is done — but never before every sharer of
-        /// its blocks has admitted. Callers must guarantee every sharer
-        /// segment is already built (true when the release is demanded
-        /// by a later segment's Done gate — sharers attach only while
-        /// the donor is active, so they precede any Done-gater — and
-        /// trivially true at the final sweep).
+        /// member's stream is done. Pages a later reader reuses are not
+        /// among them — the prefix cache holds its own reference on
+        /// every published prompt page.
         #[allow(clippy::too_many_arguments)] // mirrors flush_cohort's plumbing
         fn emit_release<'run>(
             s: usize,
@@ -2284,12 +2192,6 @@ impl LlmNpuEngine {
             let last_decode = builds[s].last_decode.ok_or_else(|| Error::Internal {
                 what: format!("release for segment {s} emitted before its cohort was flushed"),
             })?;
-            let mut deps = vec![last_decode];
-            for &sharer in &segments[s].sharer_segs {
-                deps.push(builds[sharer].admit);
-            }
-            deps.sort_unstable();
-            deps.dedup();
             // Release is a containment barrier and is never gate-skipped:
             // pages must return to the pool on every terminal path.
             let id = graph.push(
@@ -2300,7 +2202,7 @@ impl LlmNpuEngine {
                     release_ms: requests[req].arrival_ms,
                     barrier: true,
                 },
-                deps,
+                vec![last_decode],
             )?;
             meta.push(TaskMeta {
                 member: req,
@@ -2327,9 +2229,7 @@ impl LlmNpuEngine {
         for (s, seg) in segments.iter().enumerate() {
             // Any Done gate on a normal segment needs that segment's
             // Release task — flush its cohort's decode chain, then emit
-            // just *that* segment's Release (its sharers are all built:
-            // they attached while the donor was active, i.e. before any
-            // segment could gate Done on it).
+            // just *that* segment's Release.
             for &(g, kind) in &seg.gates {
                 if kind == GateKind::Done && !segments[g].evicted {
                     let c = segments[g].cohort;
@@ -2389,7 +2289,7 @@ impl LlmNpuEngine {
                 format!("R{orig}.{attempt}")
             };
 
-            // Admission: reserve pages (forking the donor's prefix).
+            // Admission: reserve pages on top of the reused prefix.
             let mut gate_deps: Vec<usize> = Vec::with_capacity(seg.gates.len() + 1);
             for &(g, kind) in &seg.gates {
                 gate_deps.push(match kind {
@@ -2411,10 +2311,10 @@ impl LlmNpuEngine {
             if let Some(prev) = prev_admit {
                 gate_deps.push(prev);
             }
-            // Admit is a barrier (it must *run* after failed gates so the
-            // donor check below can fail the sharer cleanly), but it is
-            // gate-skippable: a request already cancelled or expired
-            // reserves nothing.
+            // Admit is a barrier (it must *run* after failed gates so a
+            // prefix whose producer never published it fails the reader
+            // cleanly), but it is gate-skippable: a request already
+            // cancelled or expired reserves nothing.
             let admit = graph.push(
                 LaneTask {
                     label: format!("{rlabel}-Admit"),
@@ -2435,17 +2335,34 @@ impl LlmNpuEngine {
             {
                 let pool = Arc::clone(pool);
                 let slot = &slots[req];
-                let donor = seg
-                    .shared
-                    .map(|sh| (sh.donor_seg, &slots[segments[sh.donor_seg].req]));
-                let cached = seg.cached.clone();
-                let shared_tokens = seg.shared.map_or(0, |sh| sh.tokens);
-                let block_tokens = pool_cfg.block_tokens;
+                // The exact pages the plan reuses: the full pages along
+                // the prompt, plus a partial tail — resident at plan
+                // time, or pending, in which case it is the page below
+                // them on its producer's own prompt path.
+                let bt = pool_cfg.block_tokens;
+                let tail = seg.hit.as_ref().and_then(|hit| hit.tail);
+                let path: &[u32] = match (&seg.hit, tail) {
+                    (Some(hit), Some((CachedBlock::Pending(p), _))) => {
+                        &requests[segments[p].req].prompt[..hit.tokens + bt]
+                    }
+                    _ => &request.prompt[..seg.prefix_full_tokens()],
+                };
+                // Pages a stage-2 reclaim counted free: each reclaimed
+                // segment's promised pages are the last `retained` of its
+                // full-page path, and readers' pages sit below them.
+                let reclaim_paths: Vec<&[u32]> = seg
+                    .reclaims
+                    .iter()
+                    .map(|&g| {
+                        let prompt = &requests[segments[g].req].prompt;
+                        let first = prompt.len() / bt - segments[g].retained;
+                        &prompt[..(first + 1) * bt]
+                    })
+                    .collect();
                 let total = request.total_tokens();
                 let admit_fault = faults
                     .fault_at(orig, fault_attempt, FaultSite::Admit)
                     .copied();
-                let prefill_ok = &seg_prefill_ok;
                 let prefix_cache = cache;
                 closures.push(contain(
                     &runtime[req],
@@ -2457,76 +2374,40 @@ impl LlmNpuEngine {
                                 FaultMode::Error => return Err(msg),
                             }
                         }
-                        // Admission valve: when the planner balanced its
-                        // budget by reclaiming cache-resident pages (or a
-                        // prior failure left stale residents), evict them
-                        // physically now, best effort — the reserve below
-                        // is the arbiter. Claimed hits and mid-use pages
-                        // are refused by the cache itself.
-                        let need = match (cached.as_ref(), donor) {
-                            (Some(hit), _) => pool
-                                .config()
-                                .blocks_for(total)
-                                .saturating_sub(hit.blocks.len()),
-                            (None, Some(_)) => {
-                                let full = shared_tokens - shared_tokens % block_tokens;
-                                pool.config().blocks_for(total - full)
-                            }
-                            (None, None) => pool.config().blocks_for(total),
-                        };
-                        let short = need.saturating_sub(pool.free_blocks());
-                        if short > 0 {
-                            let _ = prefix_cache.evict_lru(&pool, short);
+                        // Take back the reclaimed pages: their producers
+                        // and readers are done (the gates order that).
+                        for path in &reclaim_paths {
+                            prefix_cache
+                                .evict_subtree(&pool, path)
+                                .map_err(|e| e.to_string())?;
                         }
-                        let cache = match (cached.as_ref(), donor) {
-                            (Some(hit), _) => {
-                                // Global-cache hit: adopt the cached full
-                                // pages (no donor, no liveness gate), then
-                                // row-copy the cached partial tail into the
-                                // first fresh page.
-                                let c =
-                                    PagedKvCache::reserve_with_prefix(&pool, &hit.blocks, total)
-                                        .map_err(|e| e.to_string())?;
-                                if let Some((src, rows)) = hit.tail {
-                                    let dst = c.table().blocks()[hit.blocks.len()];
-                                    if let Err(e) = pool.copy_rows(src, dst, rows) {
-                                        let mut c = c;
-                                        let _ = c.release();
-                                        return Err(e.to_string());
-                                    }
-                                }
-                                c
+                        // Resolve the planned pages to resident blocks. A
+                        // page still pending means its producer never
+                        // published it (failed, cancelled, preempted) —
+                        // a contained failure the retry round replans.
+                        let mut prefix = prefix_cache
+                            .resident(path)
+                            .ok_or("prefix producer prefill incomplete")?;
+                        let tail = match tail {
+                            Some((CachedBlock::Filled(block), rows)) => Some((block, rows)),
+                            Some((CachedBlock::Pending(_), rows)) => {
+                                prefix.pop().map(|block| (block, rows))
                             }
-                            (None, Some((dseg, dslot))) => {
-                                if !prefill_ok[dseg].load(Ordering::Acquire) {
-                                    return Err("prefix donor prefill incomplete".to_string());
-                                }
-                                // Ref-share the donor's full pages; the
-                                // unaligned tail rows are row-copied into
-                                // the sharer's first private page (per-row
-                                // causal masking keeps the math identical).
-                                let full = shared_tokens - shared_tokens % block_tokens;
-                                let guard = plain_lock(dslot);
-                                let donor = guard.as_ref().ok_or("prefix donor cache missing")?;
-                                let c = PagedKvCache::reserve_shared(&pool, donor, full, total)
-                                    .map_err(|e| e.to_string())?;
-                                let tail_rows = shared_tokens - full;
-                                if tail_rows > 0 {
-                                    let src = donor.table().blocks()[full / block_tokens];
-                                    let dst = c.table().blocks()[full / block_tokens];
-                                    if let Err(e) = pool.copy_rows(src, dst, tail_rows) {
-                                        let mut c = c;
-                                        let _ = c.release();
-                                        return Err(e.to_string());
-                                    }
-                                }
-                                c
-                            }
-                            (None, None) => {
-                                PagedKvCache::reserve(&pool, total).map_err(|e| e.to_string())?
-                            }
+                            None => None,
                         };
-                        *plain_lock(slot) = Some(cache);
+                        // Retain the reused full pages, then row-copy the
+                        // partial tail into the first fresh page.
+                        let c = PagedKvCache::reserve_with_prefix(&pool, &prefix, total)
+                            .map_err(|e| e.to_string())?;
+                        if let Some((src, rows)) = tail {
+                            let dst = c.table().blocks()[prefix.len()];
+                            if let Err(e) = pool.copy_rows(src, dst, rows) {
+                                let mut c = c;
+                                let _ = c.release();
+                                return Err(e.to_string());
+                            }
+                        }
+                        *plain_lock(slot) = Some(c);
                         Ok(())
                     }),
                 ));
@@ -2634,32 +2515,33 @@ impl LlmNpuEngine {
             } else {
                 let program = &programs[s];
                 let state = &states[req];
-                let ok_flag = &seg_prefill_ok[s];
                 let pool = Arc::clone(pool);
                 let slot = &slots[req];
                 let prompt = &requests[req].prompt;
-                let insert_prefix = share;
+                // Only pages the segment still promises are published: a
+                // promise withdrawn at plan time (pages reclaimed to admit
+                // another request) means they return to the pool at its
+                // release, exactly as the plan counted them.
+                let publish = seg.retained > 0;
                 closures.push(contain(
                     &runtime[req],
                     Box::new(move || {
                         let last = program.last_hidden_row().map_err(|e| e.to_string())?;
                         plain_lock(state).last_hidden = Some(last);
-                        if insert_prefix {
-                            // Publish the now-complete prompt pages to the
-                            // global cache (full blocks only, first writer
-                            // wins) so later batches reuse them without a
-                            // live donor. Failure here is a contained
-                            // request failure, like any prefill fault.
+                        if publish {
+                            // Fill this segment's pending pages for
+                            // same-round readers and keep them for later
+                            // batches. Failure here is a contained request
+                            // failure, like any prefill fault.
                             let blocks = {
                                 let guard = plain_lock(slot);
                                 let c = guard.as_ref().ok_or("prefill cache slot empty")?;
                                 c.table().blocks().to_vec()
                             };
                             cache
-                                .insert(&pool, prompt, &blocks)
+                                .insert(&pool, prompt, &blocks, s)
                                 .map_err(|e| e.to_string())?;
                         }
-                        ok_flag.store(true, Ordering::Release);
                         Ok(())
                     }),
                 ));
@@ -2698,8 +2580,7 @@ impl LlmNpuEngine {
                 *flushed = true;
             }
         }
-        // Every surviving segment returns its pages (every segment is
-        // built now, so sharer Admit ids all exist).
+        // Every surviving segment returns its pages.
         for s in 0..segments.len() {
             if !segments[s].evicted && builds[s].release.is_none() {
                 emit_release(
@@ -2764,9 +2645,10 @@ impl LlmNpuEngine {
         }
 
         // ---- Run the combined graph on the engine's lanes -----------------
-        // Isolated mode: a task failure poisons only its request's chain;
-        // the gate skips tasks of cancelled/expired/failed requests at
-        // dispatch time. Only *structural* errors surface as Err here.
+        // Fault-contained: a task failure poisons only its request's
+        // chain; the gate skips tasks of cancelled/expired/failed
+        // requests at dispatch time. Only *structural* errors surface as
+        // Err here.
         let gate_sink: Option<&TraceSink> = obs.map(|o| o.sink.as_ref());
         let gate: GateFn<'_> = Box::new(|task: usize, now: f64| -> bool {
             let m = &meta[task];
@@ -2825,7 +2707,7 @@ impl LlmNpuEngine {
             skippable && all_terminal
         });
         let task_outcomes = self.pool().install_scope(|| {
-            execute_lane_graph_isolated_traced(
+            execute_lane_graph(
                 &graph,
                 closures,
                 self.config().policy,
@@ -2975,31 +2857,32 @@ impl LlmNpuEngine {
 ///   `contain` wrapping (admission, prefill, and decode bodies can
 ///   fail; the slot-draining cleanup tasks cannot).
 /// - **KV address spaces**: space `seg * layers + layer` holds segment
-///   `seg`'s absolute token positions at one decoder layer; prefix
-///   sharing maps a sharer's shared positions into its donor's spaces
-///   (transitively), exactly like the pool's block tables — a sharer
-///   never writes a donor space (copy-on-write gives it fresh pages).
-///   Writers are the KV-appending `QkvLinear` stages (the `Main` role
-///   when no shadow split took the stage, the `MergeSync` role when one
-///   did) and decode steps ≥ 1 (position `prompt + step − 1`); readers
-///   are `Attention` stages (Equation 2's visibility: everything
-///   through the chunk's end) and decode steps (everything before the
-///   new position).
+///   `seg`'s absolute token positions at one decoder layer. Writers are
+///   the KV-appending `QkvLinear` stages (the `Main` role when no shadow
+///   split took the stage, the `MergeSync` role when one did) and decode
+///   steps ≥ 1 (position `prompt + step − 1`); readers are `Attention`
+///   stages (Equation 2's visibility: everything through the chunk's
+///   end) and decode steps (everything before the new position).
+/// - **Prefix reuse**, keyed per page: a reader's positions in a page
+///   that was *pending* at plan time map to the producer's space (the
+///   producer computed that page itself, so it is the in-plan writer),
+///   and a row-copied tail from a pending page is an Admit read of the
+///   producer's rows. Pages that were already resident have no in-plan
+///   writer, so their positions are deliberately invisible to the race
+///   checker — only the tail's write into the reader's own space is
+///   declared. A reader never writes a producer's space (copy-on-write
+///   gives it fresh pages).
 /// - **The cache-slot space** (one cell per round member, after the KV
-///   spaces): admission installs a cache, release/eviction drains it,
-///   a prefix fork reads the donor's cell.
+///   spaces): admission installs a cache, release/eviction drains it.
 /// - **The segment table** for the page-budget and leak proofs: fresh
-///   blocks per admission (the planner's own formula), blocks the global
-///   prefix cache retains past the terminal, the donor link, and each
-///   incarnation's terminal (Release, or Evicted for a preempted one).
+///   blocks per admission (the planner's own figure), blocks the global
+///   prefix cache retains past the terminal, the pages reused from each
+///   same-round producer, and each incarnation's terminal (Release, or
+///   Evicted for a preempted one).
 ///
-/// Prefix-cache interplay: pages adopted from the global cache carry no
-/// in-plan writer, so their positions (`[0, full)` of a cached hit) are
-/// deliberately invisible to the race checker — only the row-copied
-/// partial tail (written by Admit into the sharer's own space) and the
-/// suffix are declared. `free_blocks` is the pool's free count *after*
-/// planning: every cache eviction the planner needed has already
-/// happened, so it is the round's true page budget.
+/// `free_blocks` is the pool's free count *after* planning: every cache
+/// eviction the planner needed has already happened, so it is the
+/// round's true page budget.
 #[allow(clippy::too_many_arguments)] // mirrors the serving plumbing
 fn build_verify_plan(
     graph: &LaneGraph,
@@ -3020,35 +2903,29 @@ fn build_verify_plan(
     let slot_space = (segments.len() * layers) as u64;
 
     // Which (segment, absolute-position range) backs each segment's KV:
-    // its own space beyond any shared prefix, its donor's coverage
-    // (clipped, transitively) before it. Built in segment order — a
-    // donor is always an earlier segment.
-    let bt = pool_cfg.block_tokens.max(1);
-    let mut coverage: Vec<Vec<(usize, u64, u64)>> = Vec::with_capacity(segments.len());
-    for (s, seg) in segments.iter().enumerate() {
-        let total = requests[seg.req].total_tokens() as u64;
-        let mut cov: Vec<(usize, u64, u64)> = Vec::new();
-        if let Some(sh) = seg.shared {
-            // Only the donor's *full* pages are ref-shared; the partial
-            // tail is row-copied into the sharer's own space by Admit,
-            // so the sharer's coverage starts at the page boundary.
-            let full = (sh.tokens - sh.tokens % bt) as u64;
-            for &(cs, lo, hi) in &coverage[sh.donor_seg] {
-                if lo < full {
-                    cov.push((cs, lo, hi.min(full)));
+    // producers' spaces for pages pending at plan time, nothing for
+    // resident cached pages, and its own space from the end of the
+    // reused full pages on.
+    let bt = pool_cfg.block_tokens.max(1) as u64;
+    let coverage: Vec<Vec<(usize, u64, u64)>> = segments
+        .iter()
+        .enumerate()
+        .map(|(s, seg)| {
+            let mut cov: Vec<(usize, u64, u64)> = Vec::new();
+            let pages = seg.hit.iter().flat_map(|hit| &hit.blocks);
+            for (i, block) in (0u64..).zip(pages) {
+                if let CachedBlock::Pending(p) = *block {
+                    match cov.last_mut() {
+                        Some((q, _, hi)) if *q == p && *hi == i * bt => *hi += bt,
+                        _ => cov.push((p, i * bt, (i + 1) * bt)),
+                    }
                 }
             }
-            cov.push((s, full, total));
-        } else if let Some(hit) = &seg.cached {
-            // Cache-adopted pages have no in-plan writer: positions
-            // below the hit's full-page length stay undeclared, and the
-            // copied tail lands in the sharer's own space.
-            cov.push((s, hit.tokens as u64, total));
-        } else {
-            cov.push((s, 0, total));
-        }
-        coverage.push(cov);
-    }
+            let total = requests[seg.req].total_tokens() as u64;
+            cov.push((s, seg.prefix_full_tokens() as u64, total));
+            cov
+        })
+        .collect();
 
     // Segment of each (member, global attempt); the surviving (non-
     // evicted) segment per member, which decode tasks belong to.
@@ -3091,35 +2968,17 @@ fn build_verify_plan(
                 task.fallible = true;
                 task.owner = Some(s);
                 task.writes.push(Access::cell(slot_space, m.member as u64));
-                if let Some(sh) = segments[s].shared {
-                    let donor_req = segments[sh.donor_seg].req;
-                    task.reads.push(Access::cell(slot_space, donor_req as u64));
-                    // Unaligned tail: Admit row-copies the donor's tail
-                    // rows into the sharer's first private page — a read
-                    // of the donor's coverage and a write to own space.
-                    let full = sh.tokens - sh.tokens % bt;
-                    if sh.tokens > full {
-                        let (lo, hi) = (full as u64, sh.tokens as u64);
-                        for layer in 0..layers {
-                            for &(cs, clo, chi) in &coverage[sh.donor_seg] {
-                                let (rlo, rhi) = (clo.max(lo), chi.min(hi));
-                                if rlo < rhi {
-                                    task.reads
-                                        .push(Access::range(kv_space(cs, layer), rlo, rhi));
-                                }
-                            }
-                            task.writes.push(Access::range(kv_space(s, layer), lo, hi));
+                // Row-copied tail: written into the reader's own space,
+                // read from the producer's rows when the page was
+                // pending at plan time.
+                if let Some((page, rows)) = segments[s].hit.as_ref().and_then(|hit| hit.tail) {
+                    let lo = segments[s].prefix_full_tokens() as u64;
+                    let hi = lo + rows as u64;
+                    for layer in 0..layers {
+                        if let CachedBlock::Pending(p) = page {
+                            task.reads.push(Access::range(kv_space(p, layer), lo, hi));
                         }
-                    }
-                } else if let Some(hit) = &segments[s].cached {
-                    // Cached-tail copy: the source page belongs to the
-                    // cache (no in-plan writer to read from); only the
-                    // write into the sharer's own space is declared.
-                    if let Some((_, rows)) = hit.tail {
-                        let (lo, hi) = (hit.tokens as u64, (hit.tokens + rows) as u64);
-                        for layer in 0..layers {
-                            task.writes.push(Access::range(kv_space(s, layer), lo, hi));
-                        }
+                        task.writes.push(Access::range(kv_space(s, layer), lo, hi));
                     }
                 }
             }
@@ -3215,7 +3074,6 @@ fn build_verify_plan(
 
     plan.page_capacity = Some(free_blocks);
     for (s, seg) in segments.iter().enumerate() {
-        let prefix_full = seg.prefix_full_tokens(pool_cfg.block_tokens);
         plan.segments.push(Segment {
             admit: Some(builds[s].admit),
             terminal: if seg.evicted {
@@ -3223,13 +3081,15 @@ fn build_verify_plan(
             } else {
                 builds[s].release
             },
-            fresh_blocks: pool_cfg.blocks_for(requests[seg.req].total_tokens() - prefix_full),
+            fresh_blocks: seg.fresh,
             // A surviving prefill publishes its full prompt pages to the
             // global cache: those stay resident past Release (the cache
             // holds a reference) and only return via eviction/flush —
-            // the planner's final figure, net of pressure reclaims.
+            // the planner's final figure, net of withdrawn promises (a
+            // last-resort reclaim credits them at `reclaims` instead).
             retained_blocks: seg.retained,
-            donor: seg.shared.map(|sh| sh.donor_seg),
+            reused: seg.reused_pages(),
+            reclaims: seg.reclaims.clone(),
         });
     }
     plan
@@ -3738,7 +3598,8 @@ mod tests {
     fn planner_shares_unaligned_prefixes() {
         // Identical 16-token prompts, 4-token pages → the first 15
         // tokens (leaving ≥1 suffix token, no page alignment required)
-        // are shareable: 3 full pages ref-shared + a 3-row tail copy.
+        // are reusable from request 0's pending cache pages: 3 full
+        // pages ref-shared + a 3-row tail copy from the fourth.
         let mut requests = reqs(&[(16, 4), (16, 4)]);
         requests[1].prompt = requests[0].prompt.clone();
         let (segs, _, shared_blocks) = plan_batch(
@@ -3753,12 +3614,94 @@ mod tests {
             None,
         )
         .unwrap();
-        let sh = segs[1].shared.expect("request 1 shares request 0's prefix");
-        assert_eq!(sh.donor_seg, 0);
-        assert_eq!(sh.tokens, 15);
+        let hit = segs[1]
+            .hit
+            .as_ref()
+            .expect("request 1 reuses request 0's prefix");
+        assert_eq!(hit.matched_tokens(), 15);
+        assert_eq!(hit.blocks, vec![CachedBlock::Pending(0); 3]);
+        assert_eq!(hit.tail, Some((CachedBlock::Pending(0), 3)));
         assert_eq!(shared_blocks, 3, "only full pages are ref-shared");
+        assert_eq!(segs[1].reused_pages(), vec![(0, 3)]);
         assert!(segs[1].gates.contains(&(0, GateKind::PrefillDone)));
-        assert_eq!(segs[0].sharer_segs, vec![1]);
+        assert_eq!(segs[0].readers, vec![1]);
+        assert_eq!(segs[0].retained, 4, "all four prompt pages promised");
+        assert_eq!(segs[1].retained, 0, "its pages are already promised");
+    }
+
+    #[test]
+    fn planner_never_preempts_or_reclaims_a_producer_with_readers() {
+        // 4-token pages, 6-page pool. R reuses P's two prompt pages; X
+        // then needs 3 pages under EvictYoungest.
+        let mut requests = reqs(&[(3, 5), (8, 4), (9, 3), (3, 9)]);
+        requests[0].prompt = vec![100, 101, 102];
+        requests[2].prompt[8] = 50;
+        requests[3].prompt = vec![200, 201, 202];
+        let (a, p, r) = (0, 1, 2);
+        let (segs, _, shared_blocks) = plan_batch(
+            &requests,
+            &pool(4, 6),
+            &PrefixCache::new(4),
+            8,
+            PressurePolicy::EvictYoungest,
+            true,
+            1,
+            &[],
+            None,
+        )
+        .unwrap();
+        // R (youngest) goes first; the next-youngest active is P, which
+        // has a reader, so the older A is preempted instead.
+        assert!(segs[r].evicted, "reader preempted");
+        assert!(
+            !segs[p].evicted,
+            "a producer with readers is never the victim"
+        );
+        assert!(segs[a].evicted, "the older bystander is preempted instead");
+        // A's re-admission waits for P's release; P's promised pages
+        // are not reclaimed to make room, because R still reads them.
+        assert_eq!(segs[p].retained, 2, "producer pages never reclaimed");
+        let requeued: Vec<&SegmentPlan> = segs.iter().filter(|s| s.attempt == 1).collect();
+        assert_eq!(requeued.len(), 2);
+        let r2 = requeued.iter().find(|s| s.req == r).unwrap();
+        assert!(r2.gates.contains(&(p, GateKind::PrefillDone)));
+        assert_eq!(r2.reused_pages(), vec![(p, 2)]);
+        assert_eq!(segs[p].readers.len(), 2, "both incarnations of R read P");
+        assert_eq!(shared_blocks, 4, "both incarnations of R reuse 2 pages");
+    }
+
+    #[test]
+    fn planner_reclaims_a_producer_with_readers_as_the_last_resort() {
+        // 4-token pages, 6-page pool, Wait policy. R reuses P's two
+        // prompt pages; X needs all six. Waiting out P and R frees only
+        // four: the last two are P's promised pages, which X takes back
+        // once P and R are done — P still publishes them for R.
+        let mut requests = reqs(&[(8, 4), (9, 4), (3, 21)]);
+        requests[2].prompt = vec![200, 201, 202];
+        let (p, r, x) = (0, 1, 2);
+        let cache = PrefixCache::new(4);
+        let (segs, _, shared_blocks) = plan_batch(
+            &requests,
+            &pool(4, 6),
+            &cache,
+            8,
+            PressurePolicy::Wait,
+            true,
+            1,
+            &[],
+            None,
+        )
+        .unwrap();
+        assert_eq!(segs[r].reused_pages(), vec![(p, 2)]);
+        assert_eq!(shared_blocks, 2);
+        assert_eq!(segs[x].fresh, 6);
+        assert_eq!(segs[x].reclaims, vec![p]);
+        assert!(segs[x].gates.contains(&(p, GateKind::Done)));
+        assert!(segs[x].gates.contains(&(r, GateKind::Done)));
+        assert_eq!(segs[p].retained, 2, "P still publishes for R");
+        // Closed for the rest of the round: no later admission reads
+        // the pages X evicts.
+        assert_eq!(cache.lookup(&requests[r].prompt[..8]).matched_tokens(), 0);
     }
 
     #[test]

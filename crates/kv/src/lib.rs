@@ -15,18 +15,20 @@
 //!   are shared across layers: allocating block `b` materializes its
 //!   slab in every layer, exactly like PagedAttention's block tables.
 //! * [`BlockTable`] — a request's ordered list of block ids covering its
-//!   token positions. Tables are forked for **prefix sharing** (the
-//!   shared system-prompt blocks are allocated once and ref-counted)
-//!   and diverge with **copy-on-write**: writing into a block whose
-//!   refcount exceeds one first copies it (all layers) into a fresh
-//!   block owned solely by the writer.
+//!   token positions. A table can start on already-resident blocks for
+//!   **prefix sharing** (the shared system-prompt blocks are allocated
+//!   once and ref-counted) and diverges with **copy-on-write**: writing
+//!   into a block whose refcount exceeds one first copies it (all
+//!   layers) into a fresh block owned solely by the writer.
 //! * [`PrefixCache`] — a **global radix/trie prefix cache** over the
-//!   pool, keyed on token-id prefixes at block granularity: any request
-//!   whose prompt starts with an already-computed prefix reuses those
-//!   pages with no donor declaration and no donor liveness requirement.
-//!   The cache holds its own reference on every cached block and evicts
-//!   cold prefixes leaf-first under pressure, refusing blocks that are
-//!   mid-reuse (refcount) or claimed by the current planning round.
+//!   pool, keyed on token-id prefixes at block granularity, and the one
+//!   prefix-reuse mechanism: any request whose prompt starts with a
+//!   prefix another request computed — in the same planning round
+//!   (through *pending* pages its producer will fill) or any earlier
+//!   one — reuses those pages. The cache holds its own reference on
+//!   every cached block and evicts cold prefixes leaf-first under
+//!   pressure, refusing blocks that are mid-reuse (refcount) or claimed
+//!   by the current planning round.
 //! * Accounting — the pool tracks free/used/peak block counts and total
 //!   bytes, so a serving scheduler can admit by *free pages* instead of
 //!   request count, evict under pressure, and pin "zero pages leaked"
@@ -61,7 +63,7 @@ pub mod prefix;
 
 pub use error::Error;
 pub use pool::{BlockId, BlockPool, BlockTable, PoolConfig, PoolStats};
-pub use prefix::{CachedPrefix, PrefixCache, PrefixCacheMetrics};
+pub use prefix::{CachedBlock, CachedPrefix, PrefixCache, PrefixCacheMetrics};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -4,9 +4,9 @@
 //! one slab per layer, divided into fixed **blocks** of
 //! `block_tokens × kv_dim` elements (keys and values each); a block id
 //! names the same-sized slab in *every* layer; requests hold ordered
-//! [`BlockTable`]s of block ids; blocks are ref-counted so tables can be
-//! forked to share a common prefix, and a write into a shared block
-//! copies it first (copy-on-write).
+//! [`BlockTable`]s of block ids; blocks are ref-counted so tables can
+//! share a common prefix, and a write into a shared block copies it
+//! first (copy-on-write).
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
@@ -263,8 +263,8 @@ impl BlockPool {
         Ok(blocks)
     }
 
-    /// Increments the refcount of each block (prefix sharing: a forked
-    /// table retains the shared blocks).
+    /// Increments the refcount of each block (prefix sharing: a table
+    /// built on a cached prefix retains the shared blocks).
     ///
     /// # Errors
     ///
@@ -402,10 +402,10 @@ impl BlockPool {
 
     /// Copies the first `rows` token slots of block `src` into block
     /// `dst`, keys and values, in **every** layer — the partial-tail
-    /// copy behind sub-block prefix sharing: a sharer whose common
-    /// prefix ends mid-block copies the donor's (or cached prefix's)
-    /// leading rows into its own first private page instead of rounding
-    /// the share down to a block boundary.
+    /// copy behind sub-block prefix sharing: a reader whose common
+    /// prefix ends mid-block copies the cached page's leading rows into
+    /// its own first private page instead of rounding the share down to
+    /// a block boundary.
     ///
     /// Both blocks must be live (refcount ≥ 1); `dst` is the copier's
     /// private page, so no copy-on-write is involved.
@@ -501,75 +501,12 @@ impl BlockTable {
         })
     }
 
-    /// Reserves capacity for `total_tokens` positions, sharing the first
-    /// `shared_tokens` (a whole number of blocks) with `prefix`: those
-    /// blocks are retained (refcount +1), the rest allocated fresh.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if `shared_tokens` is not
-    /// block-aligned, exceeds the prefix table or `total_tokens`;
-    /// otherwise allocation errors as [`BlockTable::reserve`].
-    pub fn reserve_shared(
-        pool: &BlockPool,
-        prefix: &BlockTable,
-        shared_tokens: usize,
-        total_tokens: usize,
-    ) -> Result<Self> {
-        let bt = pool.config().block_tokens;
-        if !shared_tokens.is_multiple_of(bt) {
-            return Err(Error::InvalidConfig {
-                what: format!("shared prefix of {shared_tokens} tokens not block-aligned ({bt})"),
-            });
-        }
-        if shared_tokens > total_tokens {
-            return Err(Error::InvalidConfig {
-                what: format!("shared prefix {shared_tokens} exceeds total {total_tokens}"),
-            });
-        }
-        let shared_blocks = shared_tokens / bt;
-        if shared_blocks > prefix.blocks.len() {
-            return Err(Error::InvalidConfig {
-                what: format!(
-                    "shared prefix needs {shared_blocks} blocks, donor table has {}",
-                    prefix.blocks.len()
-                ),
-            });
-        }
-        let shared = &prefix.blocks[..shared_blocks];
-        pool.retain_blocks(shared)?;
-        let fresh_count = pool.config().blocks_for(total_tokens) - shared_blocks;
-        let fresh = match pool.alloc_blocks(fresh_count) {
-            Ok(f) => f,
-            Err(e) => {
-                // Undo the retain so a failed reservation leaks nothing.
-                // The rollback can only fail if the pool lost track of
-                // blocks it handed out two calls ago — surface that as
-                // its own error rather than masking it with the
-                // allocation failure (or a panic).
-                pool.release_blocks(shared)
-                    .map_err(|undo| Error::Inconsistent {
-                        what: format!(
-                            "rollback of shared-prefix retain failed: {undo} (after {e})"
-                        ),
-                    })?;
-                return Err(e);
-            }
-        };
-        let mut blocks = shared.to_vec();
-        blocks.extend(fresh);
-        Ok(BlockTable {
-            blocks,
-            block_tokens: bt,
-        })
-    }
-
     /// Reserves capacity for `total_tokens` positions on top of an
-    /// already-resident block-aligned prefix — the cache-hit admission
-    /// path: `prefix` names live pool blocks (e.g. from the global
-    /// radix prefix cache) rather than a live donor's [`BlockTable`].
-    /// The prefix blocks are retained (refcount +1); the remainder is
-    /// allocated fresh.
+    /// already-resident block-aligned prefix — the prefix-reuse
+    /// admission path: `prefix` names live pool blocks (a hit in the
+    /// global radix prefix cache). The prefix blocks are retained
+    /// (refcount +1), so the shared pages are allocated once; the
+    /// remainder is allocated fresh.
     ///
     /// # Errors
     ///
@@ -624,17 +561,6 @@ impl BlockTable {
     #[must_use]
     pub fn capacity_tokens(&self) -> usize {
         self.blocks.len() * self.block_tokens
-    }
-
-    /// Leading blocks this table shares with `other` (same id at the
-    /// same index) — the "allocated once" witness for prefix sharing.
-    #[must_use]
-    pub fn shared_prefix_blocks(&self, other: &BlockTable) -> usize {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .take_while(|(a, b)| a == b)
-            .count()
     }
 
     /// The `(block, slot)` address of a token position.
@@ -892,9 +818,9 @@ mod tests {
                 .unwrap();
         }
         let used_before = p.used_blocks();
-        // B shares the first block (4 tokens) and adds one of its own.
-        let b = BlockTable::reserve_shared(&p, &a, 4, 8).unwrap();
-        assert_eq!(b.shared_prefix_blocks(&a), 1);
+        // B reuses the first block (4 tokens) and adds one of its own.
+        let b = BlockTable::reserve_with_prefix(&p, &a.blocks()[..1], 8).unwrap();
+        assert_eq!(b.blocks()[0], a.blocks()[0]);
         assert_eq!(
             p.used_blocks(),
             used_before + 1,
@@ -919,14 +845,14 @@ mod tests {
     }
 
     #[test]
-    fn copy_on_write_diverges_without_disturbing_the_donor() {
+    fn copy_on_write_diverges_without_disturbing_the_producer() {
         let p = pool(8);
         let mut a = BlockTable::reserve(&p, 4).unwrap(); // 1 block
         for pos in 0..4 {
             a.write_row(&p, 0, pos, &row(10.0 + pos as f32), &row(0.0))
                 .unwrap();
         }
-        let mut b = BlockTable::reserve_shared(&p, &a, 4, 8).unwrap();
+        let mut b = BlockTable::reserve_with_prefix(&p, a.blocks(), 8).unwrap();
         assert_eq!(b.blocks()[0], a.blocks()[0]);
         // B overwrites a *shared* position: COW must kick in.
         let copied = b.ensure_writable(&p, 2).unwrap();
@@ -934,14 +860,14 @@ mod tests {
         assert_ne!(b.blocks()[0], a.blocks()[0], "B now owns a private copy");
         assert_eq!(p.ref_count(a.blocks()[0]).unwrap(), 1);
         b.write_row(&p, 0, 2, &row(99.0), &row(99.0)).unwrap();
-        // The copy carried the prefix data; the donor is untouched.
+        // The copy carried the prefix data; the producer is untouched.
         b.with_pages(&p, 0, 4, |pk, _| {
             assert_eq!(&pk[0][0..4], row(10.0).as_slice(), "copied data");
             assert_eq!(&pk[0][8..12], row(99.0).as_slice(), "diverged row");
         })
         .unwrap();
         a.with_pages(&p, 0, 4, |pk, _| {
-            assert_eq!(&pk[0][8..12], row(12.0).as_slice(), "donor unchanged");
+            assert_eq!(&pk[0][8..12], row(12.0).as_slice(), "producer unchanged");
         })
         .unwrap();
         assert_eq!(p.stats().cow_copies, 1);
@@ -953,17 +879,18 @@ mod tests {
     }
 
     #[test]
-    fn reserve_shared_validates_alignment_and_rolls_back() {
+    fn reserve_with_prefix_validates_and_rolls_back() {
         let p = pool(3);
-        let a = BlockTable::reserve(&p, 8).unwrap(); // 2 blocks
-        assert!(BlockTable::reserve_shared(&p, &a, 3, 8).is_err());
-        assert!(BlockTable::reserve_shared(&p, &a, 12, 8).is_err());
-        // Needs 1 fresh block beyond the shared one, but 1 is free and
-        // the request needs 1 — exactly fits.
-        let b = BlockTable::reserve_shared(&p, &a, 4, 8).unwrap();
-        // Now the pool is exhausted: a failed share must undo its retain.
+        let a = BlockTable::reserve(&p, 8).unwrap();
+        // A two-block prefix cannot fit a four-token table.
+        assert!(BlockTable::reserve_with_prefix(&p, a.blocks(), 4).is_err());
+        // Needs 1 fresh block beyond the shared one, and 1 is free —
+        // exactly fits.
+        let b = BlockTable::reserve_with_prefix(&p, &a.blocks()[..1], 8).unwrap();
+        // Now the pool is exhausted: a failed reservation must undo its
+        // retain.
         let before = p.ref_count(a.blocks()[0]).unwrap();
-        assert!(BlockTable::reserve_shared(&p, &a, 4, 8).is_err());
+        assert!(BlockTable::reserve_with_prefix(&p, &a.blocks()[..1], 8).is_err());
         assert_eq!(p.ref_count(a.blocks()[0]).unwrap(), before);
         drop(b);
     }

@@ -190,8 +190,10 @@ impl KvCache {
 ///
 /// * capacity is **reserved** against the pool (admission by free
 ///   pages),
-/// * a common prompt prefix can be **shared** with another request's
-///   cache (ref-counted blocks, copy-on-write on divergence), and
+/// * a common prompt prefix can start on pages another request
+///   computed and published to the prefix cache
+///   ([`PagedKvCache::reserve_with_prefix`]: ref-counted blocks,
+///   copy-on-write on divergence), and
 /// * eviction is `release()` — pages go back to the pool and the
 ///   request can be recomputed later.
 ///
@@ -220,29 +222,11 @@ impl PagedKvCache {
         })
     }
 
-    /// Reserves capacity for `total_tokens`, sharing the first
-    /// `shared_tokens` (block-aligned) with `donor`'s table — the
-    /// shared system-prompt blocks are retained, not re-allocated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Kv`] on misalignment or pool exhaustion.
-    pub fn reserve_shared(
-        pool: &Arc<BlockPool>,
-        donor: &PagedKvCache,
-        shared_tokens: usize,
-        total_tokens: usize,
-    ) -> Result<Self> {
-        Ok(PagedKvCache {
-            pool: Arc::clone(pool),
-            table: BlockTable::reserve_shared(pool, &donor.table, shared_tokens, total_tokens)?,
-        })
-    }
-
     /// Reserves capacity for `total_tokens` on top of already-resident
     /// **cached** prefix blocks (a hit in the global radix prefix cache,
-    /// `llmnpu_kv::prefix`): the cached blocks are retained by id — no
-    /// live donor cache required — and the remainder allocated fresh.
+    /// `llmnpu_kv::prefix` — the one way caches share a prompt prefix):
+    /// the cached blocks are retained by id and the remainder allocated
+    /// fresh.
     ///
     /// # Errors
     ///

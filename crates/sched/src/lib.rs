@@ -26,10 +26,12 @@
 //!   [`WorkerPool`] that replaces per-call `std::thread::scope` spawning
 //!   in `llmnpu_tensor::kernel::parallel` (created once per engine,
 //!   installable as the kernel layer's parallel backend),
-//! * [`runner`] — the numeric out-of-order task executor: a generic
-//!   lane-graph dispatcher ([`execute_lane_graph`]) over tasks with
-//!   processor lanes, modeled durations, release times (request
-//!   arrivals), and dependency edges. [`execute_chunked_prefill`] is the
+//! * [`runner`] — the numeric out-of-order task executor: one generic,
+//!   always fault-contained lane-graph dispatcher
+//!   ([`execute_lane_graph`]) over tasks with processor lanes, modeled
+//!   durations, release times (request arrivals), dependency edges,
+//!   containment barriers, and an optional dispatch gate and trace
+//!   sink. [`execute_chunked_prefill`] is the
 //!   prefill instantiation — the same [`PrefillDag`] the policies above
 //!   price analytically, executed for real against a `Transformer`,
 //!   with shadow-outlier tasks genuinely overlapping the quantized main
@@ -56,9 +58,8 @@ pub use exec::{schedule, ScheduleOutcome};
 pub use optimal::{optimal_makespan, OPTIMAL_LIMIT};
 pub use pool::WorkerPool;
 pub use runner::{
-    execute_chunked_prefill, execute_lane_graph, execute_lane_graph_isolated,
-    execute_lane_graph_isolated_traced, ExecutedTask, ExecutedTimeline, GateFn, KvSink, LaneGraph,
-    LaneTask, NumericPrefill, PrefillProgram, SkipReason, TaskFn, TaskOutcome,
+    execute_chunked_prefill, execute_lane_graph, ExecutedTask, ExecutedTimeline, GateFn, KvSink,
+    LaneGraph, LaneTask, NumericPrefill, PrefillProgram, SkipReason, TaskFn, TaskOutcome,
 };
 
 /// Crate-wide result alias.

@@ -40,27 +40,23 @@
 //!
 //! # Failure containment
 //!
-//! Two execution modes share the dispatcher:
+//! [`execute_lane_graph`] is the one entry point, and it is always
+//! **fault-contained**: a failing or panicking task becomes a per-task
+//! [`TaskOutcome::Failed`] that poisons only its *dependents*
+//! ([`TaskOutcome::Skipped`] with [`SkipReason::PoisonedDep`]) — every
+//! task not downstream of the failure keeps executing. Tasks flagged as
+//! containment *barriers* ([`LaneTask::barrier`]) absorb the poison:
+//! they run even when a dependency failed, which is how a request's
+//! page-release task is guaranteed on every path. An optional dispatch
+//! [`GateFn`] is consulted under the dispatch lock before each task is
+//! handed to a lane, so work whose request was cancelled or is past
+//! deadline is skipped ([`SkipReason::Gated`]), not run. A caller that
+//! wants all-or-nothing semantics maps the first failure itself, as
+//! [`execute_chunked_prefill`] does for a single request's prefill.
 //!
-//! * [`execute_lane_graph`] is **fail-fast**: the first task failure (or
-//!   panic) aborts the whole run and surfaces as [`Error::Exec`] — the
-//!   right contract for a single request's prefill, where partial
-//!   results are useless.
-//! * [`execute_lane_graph_isolated`] is **fault-contained**: a failing
-//!   or panicking task becomes a per-task [`TaskOutcome::Failed`] that
-//!   poisons only its *dependents* ([`TaskOutcome::Skipped`] with
-//!   [`SkipReason::PoisonedDep`]) — every task not downstream of the
-//!   failure keeps executing. Tasks flagged as containment *barriers*
-//!   ([`LaneTask::barrier`]) absorb the poison: they run even when a
-//!   dependency failed, which is how a request's page-release task is
-//!   guaranteed on every path. An optional dispatch [`GateFn`] is
-//!   consulted under the dispatch lock before each task is handed to a
-//!   lane, so work whose request was cancelled or is past deadline is
-//!   skipped ([`SkipReason::Gated`]), not run.
-//!
-//! Because a task may panic mid-stage in isolated mode, the data-plane
-//! locks here (stage hand-off slots, contiguous KV buffers, paged-KV
-//! write slots) recover from poisoning via
+//! Because a task may panic mid-stage, the data-plane locks here (stage
+//! hand-off slots, contiguous KV buffers, paged-KV write slots) recover
+//! from poisoning via
 //! [`PoisonError::into_inner`](std::sync::PoisonError::into_inner): each
 //! guards a plain value slab that a panicking *reader or whole-value
 //! writer* cannot leave half-mutated, and a truly torn write only
@@ -245,13 +241,12 @@ pub struct LaneTask {
     /// Earliest wall-clock start, ms from run start (a request's arrival
     /// time in the serving scheduler; 0 for always-available work).
     pub release_ms: f64,
-    /// Containment barrier (isolated mode only): the task still runs
-    /// when a dependency failed or was skipped, instead of being
-    /// poisoned along with the rest of the chain. Bookkeeping tasks that
-    /// must execute on every path — page releases, evictions, admission
-    /// gates of *other* requests — are barriers; numeric tasks, whose
-    /// inputs genuinely do not exist after an upstream failure, are not.
-    /// Ignored by the fail-fast [`execute_lane_graph`].
+    /// Containment barrier: the task still runs when a dependency failed
+    /// or was skipped, instead of being poisoned along with the rest of
+    /// the chain. Bookkeeping tasks that must execute on every path —
+    /// page releases, evictions, admission gates of *other* requests —
+    /// are barriers; numeric tasks, whose inputs genuinely do not exist
+    /// after an upstream failure, are not.
     pub barrier: bool,
 }
 
@@ -937,7 +932,7 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
     }
 }
 
-/// Why an isolated run skipped a task without executing it.
+/// Why a run skipped a task without executing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
     /// A (transitive) dependency failed or was itself skipped, so the
@@ -948,7 +943,7 @@ pub enum SkipReason {
     Gated,
 }
 
-/// Terminal state of one task after [`execute_lane_graph_isolated`].
+/// Terminal state of one task after [`execute_lane_graph`].
 #[derive(Debug, Clone)]
 pub enum TaskOutcome {
     /// Ran to completion; timestamps are ms from run start.
@@ -1007,9 +1002,9 @@ impl TaskOutcome {
     }
 }
 
-/// A dispatch-time gate for isolated runs, consulted under the dispatch
-/// lock for every dependency-ready task before it can be handed to a
-/// lane: `gate(task_id, now_ms)` returning `true` skips the task
+/// A dispatch-time gate, consulted under the dispatch lock for every
+/// dependency-ready task before it can be handed to a lane:
+/// `gate(task_id, now_ms)` returning `true` skips the task
 /// ([`SkipReason::Gated`]) and poisons its non-barrier dependents. The
 /// serving layer uses this for release-aware cancellation and deadline
 /// checks — a task whose request is already terminal is never run. Must
@@ -1031,9 +1026,6 @@ struct Dispatcher<'d> {
     graph: &'d LaneGraph,
     successors: Vec<Vec<usize>>,
     policy: Policy,
-    /// Fault-contained mode: task failures poison dependents instead of
-    /// aborting the run.
-    isolate: bool,
     gate: Option<GateFn<'d>>,
     /// The dispatcher's own bookkeeping mutex (`state`) is the one lock
     /// in this module where poisoning IS fatal: closures run *outside*
@@ -1053,7 +1045,6 @@ impl<'d> Dispatcher<'d> {
     fn new(
         graph: &'d LaneGraph,
         policy: Policy,
-        isolate: bool,
         gate: Option<GateFn<'d>>,
         sink: Option<&'d TraceSink>,
     ) -> Self {
@@ -1068,7 +1059,6 @@ impl<'d> Dispatcher<'d> {
             graph,
             successors,
             policy,
-            isolate,
             gate,
             state: Mutex::new(DispatchState {
                 scheduled: vec![false; n],
@@ -1209,11 +1199,11 @@ impl<'d> Dispatcher<'d> {
         }
     }
 
-    /// Applies the dispatch gate (isolated mode only): every unscheduled
-    /// task whose dependencies are settled is offered to the gate; a
-    /// `true` verdict skips it ([`SkipReason::Gated`]) — regardless of
-    /// its release time, so cancelled queued work is retired immediately
-    /// — and poisons its non-barrier dependents. Returns whether
+    /// Applies the dispatch gate: every unscheduled task whose
+    /// dependencies are settled is offered to the gate; a `true` verdict
+    /// skips it ([`SkipReason::Gated`]) — regardless of its release
+    /// time, so cancelled queued work is retired immediately — and
+    /// poisons its non-barrier dependents. Returns whether
     /// anything changed, in which case the caller must wake the other
     /// lanes (a barrier may have become ready elsewhere).
     fn apply_gate(&self, st: &mut DispatchState, now: f64) -> bool {
@@ -1245,11 +1235,9 @@ impl<'d> Dispatcher<'d> {
     }
 
     /// Runs one task inline, recording timestamps and completion. A
-    /// panicking closure is converted into a task failure; in fail-fast
-    /// mode that aborts the whole run (the other lane loops drain
-    /// instead of waiting forever), in isolated mode it poisons only the
-    /// task's non-barrier dependency chain and everything else keeps
-    /// executing.
+    /// panicking closure is converted into a task failure, which poisons
+    /// only the task's non-barrier dependency chain; everything else
+    /// keeps executing.
     fn run_task(&self, closures: &[Mutex<Option<TaskFn<'_>>>], t: usize) {
         let closure = closures[t]
             .lock()
@@ -1292,12 +1280,7 @@ impl<'d> Dispatcher<'d> {
                     error: e.clone(),
                 });
                 self.trace_task(EventKind::TaskFailed, t, t1, &e);
-                if self.isolate {
-                    self.poison_dependents(&mut st, t, t1);
-                } else {
-                    st.aborted = true;
-                    st.error.get_or_insert(e);
-                }
+                self.poison_dependents(&mut st, t, t1);
             }
         }
         drop(st);
@@ -1397,15 +1380,35 @@ impl<'d> Dispatcher<'d> {
     }
 }
 
-/// The shared dispatch core under both execution modes: builds the
-/// dispatcher, drives the lane loops on the pool (or the sequential
-/// fallback), and returns every task's outcome.
-fn run_lane_graph<'run>(
+/// Executes a [`LaneGraph`] — one closure per task — out-of-order across
+/// per-processor serial lanes on the persistent pool, honoring release
+/// times and the scheduling policy, with request-level fault
+/// containment: a task body that fails or panics produces
+/// [`TaskOutcome::Failed`] and poisons only its own non-barrier
+/// dependency chain ([`TaskOutcome::Skipped`]) — every other task keeps
+/// executing. Tasks with [`LaneTask::barrier`] set still run after a
+/// failed dependency (cleanup must happen on all paths). The optional
+/// `gate` is consulted under the dispatch lock before any
+/// dependency-ready task is handed to a lane; returning `true` skips the
+/// task ([`SkipReason::Gated`]) — this is how the serving layer retires
+/// cancelled and past-deadline requests without running them. With a
+/// `sink`, the dispatcher emits Exec-plane dispatch / completion /
+/// failure / skip events (with wall timestamps) as tasks move through
+/// the lanes; emission happens strictly outside task bodies, so traced
+/// and untraced runs are numerically identical.
+///
+/// Returns one [`TaskOutcome`] per task, indexed like the graph.
+///
+/// # Errors
+///
+/// Returns [`Error::Exec`] only for structural problems: closure and
+/// task counts disagreeing, or dispatch unable to make progress. Task
+/// failures are reported in the outcomes, not as errors.
+pub fn execute_lane_graph<'run>(
     graph: &LaneGraph,
     closures: Vec<TaskFn<'run>>,
     policy: Policy,
     pool: &WorkerPool,
-    isolate: bool,
     gate: Option<GateFn<'run>>,
     sink: Option<&TraceSink>,
 ) -> Result<Vec<TaskOutcome>> {
@@ -1442,7 +1445,7 @@ fn run_lane_graph<'run>(
     let closures: Vec<Mutex<Option<TaskFn<'_>>>> =
         closures.into_iter().map(|c| Mutex::new(Some(c))).collect();
     let lanes = graph.lanes();
-    let dispatcher = Dispatcher::new(graph, policy, isolate, gate, sink);
+    let dispatcher = Dispatcher::new(graph, policy, gate, sink);
     let concurrent = {
         let mut jobs: Vec<Job<'_>> = lanes
             .iter()
@@ -1471,85 +1474,6 @@ fn run_lane_graph<'run>(
         .collect())
 }
 
-/// Executes a [`LaneGraph`] — one closure per task — out-of-order across
-/// per-processor serial lanes on the persistent pool, honoring release
-/// times and the scheduling policy. Returns each task's measured
-/// `(start_ms, end_ms)` wall-clock span, indexed like the graph.
-///
-/// This is the fail-fast mode: the first task failure (or panic) aborts
-/// the whole run. It is the generic engine under
-/// [`execute_chunked_prefill`]; the continuous-batching serving
-/// scheduler in `llmnpu-core` uses the fault-contained
-/// [`execute_lane_graph_isolated`] instead.
-///
-/// # Errors
-///
-/// Returns [`Error::Exec`] when closure and task counts disagree, when a
-/// task body fails or panics, or when dispatch cannot make progress.
-pub fn execute_lane_graph(
-    graph: &LaneGraph,
-    closures: Vec<TaskFn<'_>>,
-    policy: Policy,
-    pool: &WorkerPool,
-) -> Result<Vec<(f64, f64)>> {
-    let outcomes = run_lane_graph(graph, closures, policy, pool, false, None, None)?;
-    // Fail-fast: an error would have surfaced above, so every task ran.
-    Ok(outcomes
-        .into_iter()
-        // lint: allow(panic) — fail-fast mode errored above unless every task completed with a span
-        .map(|o| o.span().expect("all tasks traced"))
-        .collect())
-}
-
-/// Executes a [`LaneGraph`] with request-level fault containment: a task
-/// body that fails or panics produces [`TaskOutcome::Failed`] and
-/// poisons only its own non-barrier dependency chain
-/// ([`TaskOutcome::Skipped`]) — every other task keeps executing. Tasks
-/// with [`LaneTask::barrier`] set still run after a failed dependency
-/// (cleanup must happen on all paths). The optional `gate` is consulted
-/// under the dispatch lock before any dependency-ready task is handed to
-/// a lane; returning `true` skips the task ([`SkipReason::Gated`]) —
-/// this is how the serving layer retires cancelled and past-deadline
-/// requests without running them.
-///
-/// Returns one [`TaskOutcome`] per task, indexed like the graph.
-///
-/// # Errors
-///
-/// Returns [`Error::Exec`] only for structural problems: closure and
-/// task counts disagreeing, or dispatch unable to make progress. Task
-/// failures are reported in the outcomes, not as errors.
-pub fn execute_lane_graph_isolated<'run>(
-    graph: &LaneGraph,
-    closures: Vec<TaskFn<'run>>,
-    policy: Policy,
-    pool: &WorkerPool,
-    gate: Option<GateFn<'run>>,
-) -> Result<Vec<TaskOutcome>> {
-    run_lane_graph(graph, closures, policy, pool, true, gate, None)
-}
-
-/// [`execute_lane_graph_isolated`] with an observability sink: the
-/// dispatcher emits Exec-plane dispatch / completion / failure / skip
-/// events (with wall timestamps) into `sink` as tasks move through the
-/// lanes. Numerically identical to the untraced run — emission happens
-/// strictly outside task bodies, and a disabled sink short-circuits to
-/// one atomic load per site.
-///
-/// # Errors
-///
-/// As [`execute_lane_graph_isolated`].
-pub fn execute_lane_graph_isolated_traced<'run>(
-    graph: &LaneGraph,
-    closures: Vec<TaskFn<'run>>,
-    policy: Policy,
-    pool: &WorkerPool,
-    gate: Option<GateFn<'run>>,
-    sink: Option<&TraceSink>,
-) -> Result<Vec<TaskOutcome>> {
-    run_lane_graph(graph, closures, policy, pool, true, gate, sink)
-}
-
 /// Executes a chunked prefill by running the DAG's tasks out-of-order
 /// across per-processor lanes on the persistent pool.
 ///
@@ -1562,8 +1486,9 @@ pub fn execute_lane_graph_isolated_traced<'run>(
 /// # Errors
 ///
 /// Returns [`Error::Exec`] on a plan/DAG/model mismatch or a stage
-/// failure, and [`Error::Deadlock`] never (the DAG's topological
-/// validation precedes execution).
+/// failure (the first failed task, in task order), and
+/// [`Error::Deadlock`] never (the DAG's topological validation precedes
+/// execution).
 pub fn execute_chunked_prefill(
     t: &Transformer<'_>,
     tokens: &[u32],
@@ -1574,7 +1499,21 @@ pub fn execute_chunked_prefill(
 ) -> Result<NumericPrefill> {
     let program = PrefillProgram::new(t, tokens, dag, plan)?;
     let graph = LaneGraph::from_prefill_dag(dag)?;
-    let spans = execute_lane_graph(&graph, program.closures(dag), policy, pool)?;
+    let outcomes = execute_lane_graph(&graph, program.closures(dag), policy, pool, None, None)?;
+    // A prefill is all-or-nothing: the first failed stage fails the run
+    // (its poisoned dependents never produced anything to assemble).
+    let spans = outcomes
+        .iter()
+        .map(|o| match o {
+            TaskOutcome::Completed { start_ms, end_ms } => Ok((*start_ms, *end_ms)),
+            TaskOutcome::Failed { error, .. } => Err(Error::Exec {
+                what: error.clone(),
+            }),
+            TaskOutcome::Skipped { .. } => Err(Error::Exec {
+                what: "prefill task skipped".to_owned(),
+            }),
+        })
+        .collect::<Result<Vec<_>>>()?;
 
     // Assemble the timeline in completion order.
     let mut timeline = ExecutedTimeline::default();

@@ -364,12 +364,28 @@ fn page_checks(
     // barrier+ungated terminal downstream of the admission *always*
     // executes once dispatch completes.
     for (s, seg) in plan.segments.iter().enumerate() {
-        if let Some(d) = seg.donor {
-            if d >= s {
+        for &(producer, pages) in &seg.reused {
+            if producer >= s {
                 findings.push(Finding {
                     kind: FindingKind::InvalidDep,
                     tasks: seg.admit.into_iter().collect(),
-                    detail: format!("segment {s} forks donor {d}, which is not an earlier segment"),
+                    detail: format!(
+                        "segment {s} reuses prefix pages of segment {producer}, which is \
+                         not an earlier segment"
+                    ),
+                });
+            } else if pages > plan.segments[producer].retained_blocks {
+                // Pages the producer does not retain return to the pool
+                // at its terminal: the reader would hold pages the
+                // budget walk already counted free.
+                findings.push(Finding {
+                    kind: FindingKind::PageOverCommit,
+                    tasks: seg.admit.into_iter().collect(),
+                    detail: format!(
+                        "segment {s} reuses {pages} prefix page(s) of segment {producer}, \
+                         which retains only {}",
+                        plan.segments[producer].retained_blocks
+                    ),
                 });
             }
         }
@@ -459,9 +475,9 @@ fn page_checks(
     }
 
     // Budget proof: walk admissions in planned order; before each,
-    // credit back every co-release group whose *every* holder's
-    // terminal is a proven ancestor of this admission (guaranteed done
-    // before it dispatches); then debit the fresh blocks. The free
+    // credit back every segment whose terminal is a proven ancestor of
+    // this admission (guaranteed done before it dispatches) and the
+    // retained pages it reclaims; then debit the fresh blocks. The free
     // count may never go negative — the static mirror of the planner's
     // gate-for-pages loop, recomputed independently from the segment
     // table.
@@ -496,29 +512,15 @@ fn page_checks(
         }
     }
 
-    // Held co-release groups, reconstructed from donor links: group `g`
-    // is segment g's fresh allocation; a segment holds its own group
-    // plus, transitively, everything its donor holds.
-    let mut held: Vec<Vec<usize>> = Vec::with_capacity(nsegs);
-    for (s, seg) in plan.segments.iter().enumerate() {
-        let mut h = vec![s];
-        if let Some(d) = seg.donor {
-            if d < s {
-                h.extend(held[d].iter().copied());
-            }
-        }
-        held.push(h);
-    }
-    let mut holders: Vec<Vec<usize>> = vec![Vec::new(); nsegs];
-    for (s, h) in held.iter().enumerate() {
-        for &g in h {
-            holders[g].push(s);
-        }
-    }
-
     let mut anc = vec![false; n];
     let mut frontier: Vec<usize> = Vec::new();
     let mut credited = vec![false; nsegs];
+    let mut reclaimed = vec![false; nsegs];
+    let done = |anc: &[bool], seg: usize| {
+        plan.segments[seg]
+            .terminal
+            .is_some_and(|term| term < n && anc[term])
+    };
     let mut free = cap as i64;
     let mut peak: i64 = 0;
     for &(s, admit) in &admits {
@@ -533,22 +535,36 @@ fn page_checks(
             anc[t] = true;
             frontier.extend(plan.tasks[t].deps.iter().copied());
         }
-        for g in 0..nsegs {
-            if credited[g] || plan.segments[g].fresh_blocks == 0 {
+        for (g, seg) in plan.segments.iter().enumerate() {
+            if credited[g] || seg.fresh_blocks == 0 {
                 continue;
             }
-            let all_returned = holders[g].iter().all(|&h| {
-                plan.segments[h]
-                    .terminal
-                    .is_some_and(|term| term < n && anc[term])
-            });
-            if all_returned {
+            if done(&anc, g) {
                 // Retained pages (cached prefixes) do not come back at
                 // the terminal; they leave the pool's planning budget.
-                let seg = &plan.segments[g];
                 free += seg.fresh_blocks.saturating_sub(seg.retained_blocks) as i64;
                 credited[g] = true;
             }
+        }
+        // Retained pages taken back by this admission: evicting them is
+        // only safe once the producer and every reader of them are done.
+        for &g in &plan.segments[s].reclaims {
+            let readers = (0..nsegs).filter(|&r| plan.segments[r].reused.iter().any(|u| u.0 == g));
+            let mut holders = std::iter::once(g).chain(readers);
+            if g >= s || reclaimed[g] || !holders.all(|h| done(&anc, h)) {
+                findings.push(Finding {
+                    kind: FindingKind::PageOverCommit,
+                    tasks: vec![admit],
+                    detail: format!(
+                        "admission {admit} ({}) reclaims the retained pages of segment {g} \
+                         before it and every reader of them are done, or twice",
+                        label(plan, admit)
+                    ),
+                });
+                continue;
+            }
+            reclaimed[g] = true;
+            free += plan.segments[g].retained_blocks as i64;
         }
         free -= plan.segments[s].fresh_blocks as i64;
         peak = peak.max(cap as i64 - free);

@@ -37,7 +37,11 @@
 //!    ([`FindingKind::PageLeak`]): the terminal release must exist, be
 //!    ordered after the admission, be a poison-absorbing barrier, and
 //!    never be gate-skippable. This is `leaked_blocks == 0` proven
-//!    statically.
+//!    statically. Prefix reuse is checked alongside: a segment may only
+//!    reuse pages of an earlier producer, and only pages that producer
+//!    retains past its terminal; an admission may only take retained
+//!    pages back once their producer and every reader of them are
+//!    done.
 //! 5. **Barrier/gate coverage** — cleanup tasks (release/evict) must be
 //!    barriers and must not be gate-skippable
 //!    ([`FindingKind::UnbarrieredCleanup`]), and every request-owned
@@ -60,8 +64,8 @@ mod checks;
 /// Classification of a task for plan-level accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskClass {
-    /// Reserves a segment's KV pages (optionally forking a donor
-    /// prefix). The page-budget proof walks these in plan order.
+    /// Reserves a segment's KV pages (optionally on top of reused
+    /// prefix pages). The page-budget proof walks these in plan order.
     Admit,
     /// Returns a completed segment's pages to the pool.
     Release,
@@ -167,12 +171,14 @@ impl PlanTask {
 
 /// One admitted incarnation's page accounting: which task reserves its
 /// pages, which terminal task provably returns them, how many fresh
-/// blocks it takes from the pool, and whose prefix it forks.
+/// blocks it takes from the pool, and which same-round producers'
+/// pages it reuses.
 ///
-/// Co-release is reconstructed independently of the planner: a
-/// segment's *held groups* are its own fresh allocation plus,
-/// transitively, every group its donor held — a group's blocks only
-/// return to the pool once every holder's terminal has run.
+/// Each segment's fresh allocation returns at its own terminal. Reused
+/// prefix pages are never part of a reader's allocation: they are the
+/// producer's *retained* pages, which stay resident past the
+/// producer's terminal — so the proof only needs every producer to
+/// retain at least the pages each of its readers reuses.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// The [`TaskClass::Admit`] task that reserves the pages.
@@ -180,7 +186,7 @@ pub struct Segment {
     /// The [`TaskClass::Release`] or [`TaskClass::Evict`] task that
     /// returns them.
     pub terminal: Option<usize>,
-    /// Fresh blocks drawn from the pool at admission (beyond any shared
+    /// Fresh blocks drawn from the pool at admission (beyond any reused
     /// prefix).
     pub fresh_blocks: usize,
     /// Blocks of the fresh allocation that stay resident past the
@@ -190,9 +196,15 @@ pub struct Segment {
     /// proven done; retained pages return through a separate channel
     /// (cache eviction/flush) the plan does not model.
     pub retained_blocks: usize,
-    /// Segment whose blocks this one forks (prefix sharing); must be an
-    /// earlier segment.
-    pub donor: Option<usize>,
+    /// Same-round prefix reuse: `(producer, pages)` — the admission
+    /// reuses `pages` full pages that the earlier segment `producer`
+    /// retains.
+    pub reused: Vec<(usize, usize)>,
+    /// Earlier segments whose retained pages this admission evicts
+    /// from the cache before it reserves, counting them free again:
+    /// each such segment's terminal, and the terminal of every segment
+    /// reusing its pages, must be ordered before the admission.
+    pub reclaims: Vec<usize>,
 }
 
 /// A complete plan under verification.

@@ -67,14 +67,16 @@ fn clean_plan() -> Plan {
                 terminal: Some(5),
                 fresh_blocks: 2,
                 retained_blocks: 0,
-                donor: None,
+                reused: vec![],
+                reclaims: vec![],
             },
             Segment {
                 admit: Some(3),
                 terminal: Some(6),
                 fresh_blocks: 2,
                 retained_blocks: 0,
-                donor: None,
+                reused: vec![],
+                reclaims: vec![],
             },
         ],
     }
@@ -369,9 +371,12 @@ fn broken_admission_chain_is_caught() {
 }
 
 #[test]
-fn donor_ordering_is_checked() {
+fn reader_gated_on_later_producer_is_rejected() {
+    // Segment 0 claims to reuse pages segment 1 produces: a reader can
+    // only wait for a producer planned before it.
     let mut plan = clean_plan();
-    plan.segments[0].donor = Some(1);
+    plan.segments[1].retained_blocks = 1;
+    plan.segments[0].reused = vec![(1, 1)];
     let report = verify(&plan);
     assert!(
         report
@@ -384,37 +389,13 @@ fn donor_ordering_is_checked() {
 }
 
 #[test]
-fn shared_prefix_co_release_holds_pages() {
-    // Segment 1 forks segment 0's prefix: group 0's pages only return
-    // once *both* terminals ran. A third admission gated only on the
-    // donor's release must not be credited group 0.
+fn reader_of_unretained_pages_is_rejected() {
+    // Segment 1 reuses two of segment 0's prompt pages, but segment 0
+    // retains only one past its release: the other returns to the pool
+    // while the reader still maps it.
     let mut plan = clean_plan();
-    plan.segments[1].donor = Some(0);
-    plan.page_capacity = Some(5);
-    // Third segment: admit depends on the chain tail and on release r0
-    // (but NOT on release r1, so group 0 is still held by the sharer).
-    let mut admit2 = PlanTask::new("admit r2", 0, vec![3, 5]);
-    admit2.class = TaskClass::Admit;
-    admit2.barrier = true;
-    admit2.gated = true;
-    admit2.serialized = true;
-    admit2.owner = Some(2);
-    let mut release2 = PlanTask::new("release r2", 0, vec![7]);
-    release2.class = TaskClass::Release;
-    release2.barrier = true;
-    release2.owner = Some(2);
-    plan.tasks.push(admit2);
-    plan.tasks.push(release2);
-    plan.segments.push(Segment {
-        admit: Some(7),
-        terminal: Some(8),
-        fresh_blocks: 2,
-        retained_blocks: 0,
-        donor: None,
-    });
-    // Walk: admit0 holds 2, admit1 holds 4; at admit2 only release r0 is
-    // an ancestor, but group 0 is co-held by the sharer, so nothing is
-    // credited: 4 held + 2 fresh = 6 > 5.
+    plan.segments[0].retained_blocks = 1;
+    plan.segments[1].reused = vec![(0, 2)];
     let report = verify(&plan);
     assert!(
         report
@@ -425,13 +406,10 @@ fn shared_prefix_co_release_holds_pages() {
         report.findings
     );
 
-    // Adding the sharer's release as a gate makes both groups return:
-    // 0 held + 2 fresh = 2 of 5.
-    let mut plan2 = plan.clone();
-    plan2.tasks[7].deps = vec![3, 5, 6];
-    let report = verify(&plan2);
+    // A producer retaining every reused page verifies clean.
+    plan.segments[0].retained_blocks = 2;
+    let report = verify(&plan);
     assert!(report.is_clean(), "{:?}", report.findings);
-    assert_eq!(report.stats.peak_pages, 4);
 }
 
 #[test]
@@ -442,4 +420,54 @@ fn finding_kinds_render_kebab_case() {
         FindingKind::UnbarrieredCleanup.to_string(),
         "unbarriered-cleanup"
     );
+}
+
+#[test]
+fn reclaim_before_a_reader_is_done_is_rejected() {
+    // Segment 1 reuses segment 0's two retained pages; a third
+    // admission evicts them from the cache to fit all four of its pages
+    // in the 4-page pool.
+    let mut plan = clean_plan();
+    plan.page_capacity = Some(4);
+    plan.segments[0].retained_blocks = 2;
+    plan.segments[1].reused = vec![(0, 2)];
+    let mut admit2 = PlanTask::new("admit r2", 0, vec![3, 5]);
+    admit2.class = TaskClass::Admit;
+    admit2.barrier = true;
+    admit2.gated = true;
+    admit2.serialized = true;
+    admit2.owner = Some(2);
+    let mut release2 = PlanTask::new("release r2", 0, vec![7]);
+    release2.class = TaskClass::Release;
+    release2.barrier = true;
+    release2.owner = Some(2);
+    plan.tasks.extend([admit2, release2]);
+    plan.segments.push(Segment {
+        admit: Some(7),
+        terminal: Some(8),
+        fresh_blocks: 4,
+        retained_blocks: 0,
+        reused: vec![],
+        reclaims: vec![0],
+    });
+    // Ordered after the producer's release but not the reader's: the
+    // reader may still map the pages.
+    let report = verify(&plan);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::PageOverCommit && f.tasks == vec![7]),
+        "{:?}",
+        report.findings
+    );
+
+    // Gated on the reader's release too, the reclaim verifies clean…
+    plan.tasks[7].deps.push(6);
+    let report = verify(&plan);
+    assert!(report.is_clean(), "{:?}", report.findings);
+
+    // …and without it the pool is over-committed.
+    plan.segments[2].reclaims.clear();
+    assert!(kinds(&plan).contains(&FindingKind::PageOverCommit));
 }

@@ -383,11 +383,11 @@ fn sink_cancellation_stops_after_current_token() {
     }
 }
 
-/// Cancelling a shared-prefix *donor* before its prefill lands must not
-/// doom the sharer: the sharer's admission fails cleanly on the
-/// incomplete donor, the retry round re-plans it without the donor, and
-/// it still completes bit-identical to its solo run. Zero leaks on both
-/// sides.
+/// Cancelling the *producer* of a shared prefix before its prefill
+/// lands must not doom the reader: the reader's admission fails cleanly
+/// on the never-published pending pages, the retry round re-plans it
+/// without them, and it still completes bit-identical to its solo run.
+/// Zero leaks on both sides.
 #[test]
 fn cancelled_prefix_donor_does_not_doom_the_sharer() {
     let w = mini_model();
@@ -403,7 +403,7 @@ fn cancelled_prefix_donor_does_not_doom_the_sharer() {
         GenerationRequest::new(tokens(8, 7), 4),
         GenerationRequest::new(long, 4).with_sampler(SamplerConfig::top_k(8, 0.9, 42)),
     ];
-    // The donor is cancelled before the run even starts.
+    // The producer is cancelled before the run even starts.
     requests[0].cancel.cancel();
     let solo = solo_streams(&t, &requests, chunk_len);
 
@@ -467,7 +467,7 @@ fn pool_squeeze_evicts_but_streams_hold() {
                 pressure: PressurePolicy::EvictYoungest,
                 faults: Some(FaultPlan::new().with_pool_cap(max_need)),
                 // Sharing off: these prompts are prefixes of each other,
-                // and a live donor (or reclaimable cached prefix) would
+                // and reused (or reclaimable cached) prefix pages would
                 // let the planner wait its way out of the squeeze. This
                 // test is about the preemption/recompute path.
                 share_prefixes: false,
@@ -511,7 +511,7 @@ proptest! {
         let chunk_len = 4;
 
         // Requests 0 and 1 share a block-aligned prefix when sharing is
-        // on, so a cancelled victim can be a donor or a sharer.
+        // on, so a cancelled victim can be a producer or a reader.
         let mut long = tokens(8, 7);
         long.extend_from_slice(&[9, 8, 7]);
         let requests = vec![

@@ -2,7 +2,7 @@
 //! submitted over time through [`llmnpu::core::frontend`] stream
 //! tokens bit-identical to their solo runs; a shared system prompt is
 //! prefilled once per session and *re-used from the global radix
-//! cache* by later batches whose donor is long gone; cancellation
+//! cache* by later batches whose producer is long gone; cancellation
 //! works mid-stream; and a trace-replay soak (heavy-tail lengths,
 //! bursty arrivals, thousands of requests) finishes with zero leaked
 //! pages, bounded pool usage, and sampled stream identity.
@@ -59,7 +59,7 @@ fn serve_opts() -> ServeOptions {
 /// The tentpole pin: two *waves* of requests submitted to a running
 /// front-end, every stream bit-identical to its solo run, and — with
 /// the wave-1 producers long finished — wave 2 hits the global prefix
-/// cache on the shared system prompt with **no donor declaration**.
+/// cache on the shared system prompt with **no pairing of requests**.
 #[test]
 fn frontend_streams_are_bit_identical_and_wave_two_hits_the_cache() {
     let w = mini_model();
@@ -445,9 +445,9 @@ proptest! {
         prop_assert_eq!(&rep.requests[1].tokens, &solo(&t, &rb, chunk_len));
         prop_assert_eq!(rep.kv.leaked_blocks, 0);
 
-        // The planner's exact share arithmetic: request 1 forks request
-        // 0's pages iff the clamped common prefix spans at least one
-        // page; only whole pages are ref-shared.
+        // The planner's exact share arithmetic: request 1 reuses request
+        // 0's pending pages iff the clamped common prefix spans at least
+        // one page; only whole pages are ref-shared.
         let real_lcp = pa.iter().zip(&pb).take_while(|(x, y)| x == y).count();
         let cap = real_lcp.min(pb.len() - 1);
         let expect = if cap >= bt { cap / bt } else { 0 };

@@ -168,3 +168,96 @@ fn report_metrics_agree_with_the_report() {
         report.kv.peak_used_blocks as i64
     );
 }
+
+// ---------------------------------------------------------------------------
+// Golden modeled exports
+// ---------------------------------------------------------------------------
+//
+// The canonical modeled export is a pure function of the workload, so a
+// refactor of the serving planner that claims "same behaviour" must leave
+// it byte-identical. These goldens pin two batches: the mixed batch above
+// (no prompt shares a page with another) and a warm-session batch served
+// entirely from prefix-cache hits. Regenerate deliberately with
+// `LLMNPU_BLESS_GOLDEN=1 cargo test --test integration_obs golden`.
+
+fn golden_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+fn assert_golden(name: &str, actual: &str) {
+    let path = golden_path(name);
+    if std::env::var_os("LLMNPU_BLESS_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+    assert!(
+        expected == actual,
+        "modeled export drifted from {} (rerun with LLMNPU_BLESS_GOLDEN=1 only if the \
+         change is intended)",
+        path.display()
+    );
+}
+
+#[test]
+fn golden_modeled_export_mixed_batch() {
+    let (export, _) = run_traced(2);
+    assert_golden("mixed_requests.modeled.json", &export);
+}
+
+#[test]
+fn golden_modeled_export_warm_session_cache_hits() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let e = engine(3, 2);
+    let opts = ServeOptions {
+        max_active: 3,
+        block_tokens: 4,
+        kv_pool_blocks: Some(32),
+        decode_batch: 2,
+        ..ServeOptions::default()
+    };
+    let session = e.open_serve_session(&t, &opts).unwrap();
+    // A 12-token system prompt (three full pages); suffixes shorter
+    // than a page so the warm batch creates no new cacheable pages.
+    let system = tokens(12, 5);
+    let with_suffix = |suffix: &[u32], max_new: usize| {
+        let mut p = system.clone();
+        p.extend_from_slice(suffix);
+        GenerationRequest::new(p, max_new)
+    };
+    // Cold batch (untraced): one request prefills and caches the system
+    // prompt.
+    let cold = e
+        .serve_with_session(&t, &[with_suffix(&[1, 2], 2)], &opts, &session)
+        .unwrap();
+    assert!(cold.requests[0].status.is_completed());
+
+    // Warm batch (traced): every request reuses the cached pages.
+    let obs = Observability::enabled();
+    let warm_opts = ServeOptions {
+        obs: Some(obs.clone()),
+        ..opts.clone()
+    };
+    let warm = vec![
+        with_suffix(&[40, 41, 42], 3),
+        with_suffix(&[50], 2).with_arrival_ms(1.0),
+        with_suffix(&[60, 61], 3).with_arrival_ms(2.0),
+    ];
+    let report = e
+        .serve_with_session(&t, &warm, &warm_opts, &session)
+        .unwrap();
+    assert_eq!(report.kv.prefix_cache_hits, warm.len() as u64);
+    assert_eq!(report.kv.shared_prefix_blocks, 0);
+    assert!(report.requests.iter().all(|r| r.status.is_completed()));
+    assert_golden(
+        "warm_session.modeled.json",
+        &modeled_trace_json(&obs.sink.snapshot()),
+    );
+    session.flush().unwrap();
+}

@@ -539,6 +539,106 @@ fn eviction_recomputes_without_changing_streams() {
     }
 }
 
+/// Batched decode under preemption: a preempted incarnation that had
+/// waited for a cohort member's release closes that cohort, so the
+/// request admitted after it decodes in a cohort of its own — the plan
+/// builds, and every stream still matches its solo run.
+#[test]
+fn preempted_waiter_closes_its_decode_cohort() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    // 8-token requests on a 3-page pool: B waits for A's release, then C
+    // preempts B.
+    let requests = vec![
+        GenerationRequest::new(vec![1, 2, 3, 4], 4),
+        GenerationRequest::new(vec![10, 11, 12, 13], 4),
+        GenerationRequest::new(vec![20, 21, 22, 23], 4)
+            .with_sampler(SamplerConfig::top_k(6, 1.0, 5)),
+    ];
+    let report = engine(4, 2)
+        .serve(
+            &t,
+            &requests,
+            &ServeOptions {
+                max_active: 8,
+                block_tokens: 4,
+                kv_pool_blocks: Some(3),
+                pressure: PressurePolicy::EvictYoungest,
+                decode_batch: 4,
+                share_prefixes: false,
+                ..ServeOptions::default()
+            },
+        )
+        .unwrap();
+    assert!(report.kv.evictions >= 1, "pressure never preempted");
+    for (r, outcome) in report.requests.iter().enumerate() {
+        let solo = t
+            .generate(
+                &requests[r].prompt,
+                Some(4),
+                requests[r].max_new_tokens,
+                &requests[r].sampler,
+            )
+            .unwrap();
+        assert_eq!(outcome.tokens, solo, "request {r}");
+    }
+    assert_eq!(report.kv.leaked_blocks, 0);
+}
+
+/// A request that fits the pool only once a released producer's
+/// promised prefix pages are taken back — after that producer *and*
+/// its same-round reader are done — is served, with unchanged streams
+/// and nothing left in the pool or the cache.
+#[test]
+fn reclaims_reused_prefix_pages_once_producer_and_reader_are_done() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    // 4-token pages, 6-page pool: P (8-token prompt, 12 total) promises
+    // two pages, R reuses them (13 total), X needs all six.
+    let producer = tokens(8, 7);
+    let mut reader = producer.clone();
+    reader.push(60);
+    let requests = vec![
+        GenerationRequest::new(producer, 4),
+        GenerationRequest::new(reader, 4).with_sampler(SamplerConfig::top_k(6, 1.0, 5)),
+        GenerationRequest::new(vec![90, 91, 92], 21),
+    ];
+    for workers in [1usize, 3] {
+        let report = engine(4, workers)
+            .serve(
+                &t,
+                &requests,
+                &ServeOptions {
+                    max_active: 8,
+                    block_tokens: 4,
+                    kv_pool_blocks: Some(6),
+                    pressure: PressurePolicy::Wait,
+                    share_prefixes: true,
+                    ..ServeOptions::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(report.kv.shared_prefix_blocks, 2);
+        assert_eq!(report.kv.prefix_cache_evictions, 2, "X took P's pages back");
+        for (r, outcome) in report.requests.iter().enumerate() {
+            let solo = t
+                .generate(
+                    &requests[r].prompt,
+                    Some(4),
+                    requests[r].max_new_tokens,
+                    &requests[r].sampler,
+                )
+                .unwrap();
+            assert_eq!(outcome.tokens, solo, "request {r} at {workers} workers");
+            assert_eq!(outcome.attempts, 1, "request {r} at {workers} workers");
+        }
+        assert_eq!(report.kv.leaked_blocks, 0);
+        assert!(report.kv.peak_used_blocks <= 6);
+    }
+}
+
 /// Prefix sharing: requests with a block-aligned common prompt prefix
 /// allocate it once (ref-counted pages), prefill only their suffixes,
 /// and still produce bit-identical streams.

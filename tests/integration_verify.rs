@@ -76,7 +76,8 @@ fn prefix_sharing_plan_verifies_clean() {
     let t = Transformer::new(&w, &be);
     let engine = engine(3);
     // Three requests off one 6-token common prefix (block- and
-    // chunk-aligned), so the planner provably forks donor pages.
+    // chunk-aligned), so the later requests provably reuse the first
+    // one's pending prefix pages.
     let base = tokens(6, 7);
     let mk = |extra: &[u32], new| {
         let mut p = base.clone();
