@@ -16,6 +16,9 @@ use llmnpu::obs::trace::Plane;
 use llmnpu::obs::Observability;
 use llmnpu::soc::spec::SocSpec;
 
+mod common;
+use common::assert_golden;
+
 fn mini_model() -> ModelWeights {
     let cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
     synthesize(&cfg, 7, OutlierSpec::default()).unwrap()
@@ -179,29 +182,6 @@ fn report_metrics_agree_with_the_report() {
 // (no prompt shares a page with another) and a warm-session batch served
 // entirely from prefix-cache hits. Regenerate deliberately with
 // `LLMNPU_BLESS_GOLDEN=1 cargo test --test integration_obs golden`.
-
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("LLMNPU_BLESS_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert!(
-        expected == actual,
-        "modeled export drifted from {} (rerun with LLMNPU_BLESS_GOLDEN=1 only if the \
-         change is intended)",
-        path.display()
-    );
-}
 
 #[test]
 fn golden_modeled_export_mixed_batch() {

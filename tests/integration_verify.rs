@@ -17,7 +17,11 @@ use llmnpu::model::weights::{synthesize, ModelWeights, OutlierSpec};
 use llmnpu::sched::LaneGraph;
 use llmnpu::soc::latency::LatencyModel;
 use llmnpu::soc::spec::SocSpec;
-use llmnpu::verify::{verify, Report};
+use llmnpu::verify::{verify, PlanStats, Report};
+use llmnpu::workloads::traces::{ArrivalTrace, LengthMix};
+
+mod common;
+use common::assert_golden;
 
 fn mini_model() -> ModelWeights {
     let cfg = ModelConfig::qwen15_18b().scaled_down(48, 3, 96).unwrap();
@@ -47,37 +51,22 @@ fn assert_clean(name: &str, report: &Report) {
     );
 }
 
-#[test]
-fn plain_batch_plan_verifies_clean() {
-    let w = mini_model();
-    let be = FloatBackend::new(w.clone());
-    let t = Transformer::new(&w, &be);
-    let engine = engine(3);
+/// A batch to serve: the requests and the options to serve them with.
+type Batch = (Vec<GenerationRequest>, ServeOptions);
+
+fn plain_batch() -> Batch {
     let requests = vec![
         GenerationRequest::new(tokens(10, 7), 4),
         GenerationRequest::new(tokens(4, 5), 6),
         GenerationRequest::new(tokens(7, 11), 5),
     ];
-    let report = engine
-        .verify_serve(&t, &requests, &ServeOptions::default())
-        .unwrap();
-    assert_clean("plain batch", &report);
-    assert_eq!(report.stats.segments, 3);
-    assert!(report.stats.tasks > 0);
-    assert!(report.stats.alias_pairs > 0, "KV accesses must be modeled");
-    assert!(report.stats.peak_pages > 0);
-    assert!(Some(report.stats.peak_pages) <= report.stats.page_capacity);
+    (requests, ServeOptions::default())
 }
 
-#[test]
-fn prefix_sharing_plan_verifies_clean() {
-    let w = mini_model();
-    let be = FloatBackend::new(w.clone());
-    let t = Transformer::new(&w, &be);
-    let engine = engine(3);
-    // Three requests off one 6-token common prefix (block- and
-    // chunk-aligned), so the later requests provably reuse the first
-    // one's pending prefix pages.
+/// Three requests off one 6-token common prefix (block- and
+/// chunk-aligned), so the later requests provably reuse the first
+/// one's pending prefix pages.
+fn prefix_sharing_batch() -> Batch {
     let base = tokens(6, 7);
     let mk = |extra: &[u32], new| {
         let mut p = base.clone();
@@ -94,17 +83,11 @@ fn prefix_sharing_plan_verifies_clean() {
         share_prefixes: true,
         ..ServeOptions::default()
     };
-    let report = engine.verify_serve(&t, &requests, &opts).unwrap();
-    assert_clean("prefix sharing", &report);
-    assert_eq!(report.stats.segments, 3);
+    (requests, opts)
 }
 
-#[test]
-fn eviction_and_batched_decode_plan_verifies_clean() {
-    let w = mini_model();
-    let be = FloatBackend::new(w.clone());
-    let t = Transformer::new(&w, &be);
-    let engine = engine(3);
+/// Half the pages the batch needs: the plan must preempt.
+fn eviction_batch() -> Batch {
     let requests: Vec<GenerationRequest> = (0..5)
         .map(|i| GenerationRequest::new(tokens(9 + 3 * (i % 3), 7 + i as u32), 4))
         .collect();
@@ -122,24 +105,10 @@ fn eviction_and_batched_decode_plan_verifies_clean() {
         decode_batch: 2,
         ..ServeOptions::default()
     };
-    let report = engine.verify_serve(&t, &requests, &opts).unwrap();
-    assert_clean("eviction + batched decode", &report);
-    assert!(
-        report.stats.segments > requests.len(),
-        "an undersized pool must plan evicted incarnations \
-         ({} segments for {} requests)",
-        report.stats.segments,
-        requests.len()
-    );
-    assert!(report.stats.peak_pages <= pool_blocks);
+    (requests, opts)
 }
 
-#[test]
-fn faulty_plan_verifies_clean_and_matches_execution() {
-    let w = mini_model();
-    let be = FloatBackend::new(w.clone());
-    let t = Transformer::new(&w, &be);
-    let engine = engine(3);
+fn faulty_batch() -> Batch {
     let requests = vec![
         GenerationRequest::new(tokens(9, 7), 3),
         GenerationRequest::new(tokens(6, 5), 4),
@@ -157,6 +126,69 @@ fn faulty_plan_verifies_clean_and_matches_execution() {
         faults: Some(plan),
         ..ServeOptions::default()
     };
+    (requests, opts)
+}
+
+fn small_batch() -> Batch {
+    let requests = vec![
+        GenerationRequest::new(tokens(8, 7), 3),
+        GenerationRequest::new(tokens(5, 5), 3),
+    ];
+    (requests, ServeOptions::default())
+}
+
+#[test]
+fn plain_batch_plan_verifies_clean() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let (requests, opts) = plain_batch();
+    let report = engine(3).verify_serve(&t, &requests, &opts).unwrap();
+    assert_clean("plain batch", &report);
+    assert_eq!(report.stats.segments, 3);
+    assert!(report.stats.tasks > 0);
+    assert!(report.stats.alias_pairs > 0, "KV accesses must be modeled");
+    assert!(report.stats.peak_pages > 0);
+    assert!(Some(report.stats.peak_pages) <= report.stats.page_capacity);
+}
+
+#[test]
+fn prefix_sharing_plan_verifies_clean() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let (requests, opts) = prefix_sharing_batch();
+    let report = engine(3).verify_serve(&t, &requests, &opts).unwrap();
+    assert_clean("prefix sharing", &report);
+    assert_eq!(report.stats.segments, 3);
+}
+
+#[test]
+fn eviction_and_batched_decode_plan_verifies_clean() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let (requests, opts) = eviction_batch();
+    let pool_blocks = opts.kv_pool_blocks.unwrap();
+    let report = engine(3).verify_serve(&t, &requests, &opts).unwrap();
+    assert_clean("eviction + batched decode", &report);
+    assert!(
+        report.stats.segments > requests.len(),
+        "an undersized pool must plan evicted incarnations \
+         ({} segments for {} requests)",
+        report.stats.segments,
+        requests.len()
+    );
+    assert!(report.stats.peak_pages <= pool_blocks);
+}
+
+#[test]
+fn faulty_plan_verifies_clean_and_matches_execution() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let engine = engine(3);
+    let (requests, opts) = faulty_batch();
     let verified = engine.verify_serve(&t, &requests, &opts).unwrap();
     assert_clean("faulty batch", &verified);
 
@@ -182,11 +214,7 @@ fn verify_serve_reserves_no_pages_and_is_idempotent() {
     let be = FloatBackend::new(w.clone());
     let t = Transformer::new(&w, &be);
     let engine = engine(3);
-    let requests = vec![
-        GenerationRequest::new(tokens(8, 7), 3),
-        GenerationRequest::new(tokens(5, 5), 3),
-    ];
-    let opts = ServeOptions::default();
+    let (requests, opts) = small_batch();
     let a = engine.verify_serve(&t, &requests, &opts).unwrap();
     let b = engine.verify_serve(&t, &requests, &opts).unwrap();
     assert_clean("first dry run", &a);
@@ -214,21 +242,163 @@ fn empty_batch_verifies_clean() {
     assert_eq!(report.stats.tasks, 0);
 }
 
+const PREFILL_SHAPES: [(usize, usize, f64); 3] = [(9, 3, 0.0), (12, 4, 0.5), (10, 5, 1.0)];
+
+fn prefill_graph(prompt: usize, chunk: usize, shadow: f64) -> LaneGraph {
+    let cfg = ModelConfig::qwen15_18b().scaled_down(48, 3, 96).unwrap();
+    let lat = LatencyModel::new(&SocSpec::snapdragon_8gen3());
+    let mut dc = DagConfig::llmnpu_default(prompt, chunk).unwrap();
+    dc.shadow_fraction = shadow;
+    let dag = build_prefill_dag(&cfg, &dc, &lat).unwrap();
+    LaneGraph::from_prefill_dag(&dag).unwrap()
+}
+
 #[test]
 fn structural_prefill_graphs_verify_clean() {
     // The sched-layer translation: bare prefill lane graphs (what the
     // executor's debug hook verifies on every run) are structurally
     // clean at several prompt/chunk shapes and shadow fractions.
-    let cfg = ModelConfig::qwen15_18b().scaled_down(48, 3, 96).unwrap();
-    let lat = LatencyModel::new(&SocSpec::snapdragon_8gen3());
-    for (prompt, chunk, shadow) in [(9, 3, 0.0), (12, 4, 0.5), (10, 5, 1.0)] {
-        let mut dc = DagConfig::llmnpu_default(prompt, chunk).unwrap();
-        dc.shadow_fraction = shadow;
-        let dag = build_prefill_dag(&cfg, &dc, &lat).unwrap();
-        let graph = LaneGraph::from_prefill_dag(&dag).unwrap();
+    for (prompt, chunk, shadow) in PREFILL_SHAPES {
+        let graph = prefill_graph(prompt, chunk, shadow);
         let report = verify(&graph.verify_plan());
         assert_clean(&format!("prefill dag {prompt}/{chunk}/{shadow}"), &report);
         assert_eq!(report.stats.tasks, graph.len());
         assert!(report.stats.lanes >= 2, "prefill must span CPU and NPU");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Proof-size golden
+// ---------------------------------------------------------------------------
+//
+// Every `PlanStats` field of every batch above, plus the three serving
+// plans of `examples/verify_plan.rs`, pinned byte for byte: a refactor of
+// how the serving graph is built or translated for the verifier must
+// prove exactly the same plan. Regenerate only for an intended plan
+// change: `LLMNPU_BLESS_GOLDEN=1 cargo test --test integration_verify golden`.
+
+/// The `serving`, `memory_pressure` and `chaos` batches of
+/// `examples/verify_plan.rs`, for its 48-wide 2-layer model.
+fn example_batches(vocab: usize) -> Vec<(&'static str, Vec<GenerationRequest>, ServeOptions)> {
+    let synthetic = |shapes: &[(usize, usize)], arrivals: &[f64]| -> Vec<GenerationRequest> {
+        shapes
+            .iter()
+            .zip(arrivals)
+            .enumerate()
+            .map(|(i, (&(prompt_len, max_new), &arrival))| {
+                GenerationRequest::synthetic(i, prompt_len, max_new, vocab).with_arrival_ms(arrival)
+            })
+            .collect()
+    };
+    let pool_share = |requests: &[GenerationRequest], block_tokens: usize, div: usize| {
+        let needs: Vec<usize> = requests
+            .iter()
+            .map(|r| r.total_tokens().div_ceil(block_tokens))
+            .collect();
+        (needs.iter().sum::<usize>() / div).max(*needs.iter().max().unwrap())
+    };
+
+    let serving = synthetic(
+        &[(24, 6), (6, 10), (30, 4), (12, 8), (8, 8), (36, 3)],
+        &ArrivalTrace::poisson(11, 200.0, 6).arrivals_ms,
+    );
+    let serving_opts = ServeOptions {
+        max_active: 3,
+        ..ServeOptions::default()
+    };
+
+    let mix = LengthMix::heavy_tail(11, 7, 6, 30);
+    let pressure = synthetic(
+        &mix.shapes,
+        &ArrivalTrace::heavy_tail(11, 2.0, 1.1, mix.len()).arrivals_ms,
+    );
+    let pressure_opts = ServeOptions {
+        max_active: pressure.len(),
+        block_tokens: 4,
+        kv_pool_blocks: Some(pool_share(&pressure, 4, 2)),
+        pressure: PressurePolicy::EvictYoungest,
+        decode_batch: 2,
+        ..ServeOptions::default()
+    };
+
+    let mix = LengthMix::heavy_tail(11, 24, 5, 24);
+    let chaos = synthetic(
+        &mix.shapes,
+        &ArrivalTrace::heavy_tail(11, 1.5, 1.1, mix.len()).arrivals_ms,
+    );
+    let faults = FaultPlan::seeded(2025, chaos.len(), 0.7)
+        .with_fault(FaultSpec {
+            request: 0,
+            attempt: 1,
+            site: FaultSite::Prefill { chunk: 0, layer: 0 },
+            mode: FaultMode::Panic,
+            permanent: false,
+        })
+        .with_fault(FaultSpec {
+            request: 1,
+            attempt: 1,
+            site: FaultSite::Decode { step: 0 },
+            mode: FaultMode::Error,
+            permanent: true,
+        });
+    let chaos_opts = ServeOptions {
+        max_active: 6,
+        block_tokens: 4,
+        kv_pool_blocks: Some(pool_share(&chaos, 4, 5)),
+        pressure: PressurePolicy::EvictYoungest,
+        decode_batch: 2,
+        share_prefixes: true,
+        max_retries: 2,
+        retry_backoff_ms: 1.0,
+        faults: Some(faults),
+        ..ServeOptions::default()
+    };
+    vec![
+        ("serving", serving, serving_opts),
+        ("memory_pressure", pressure, pressure_opts),
+        ("chaos", chaos, chaos_opts),
+    ]
+}
+
+fn proof_line(name: &str, stats: &PlanStats) -> String {
+    format!("{name}: {stats:?}\n")
+}
+
+#[test]
+fn golden_proof_sizes() {
+    let mut out = String::new();
+
+    let cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
+    let w = synthesize(&cfg, 7, OutlierSpec::default()).unwrap();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let e = engine(6);
+    for (name, requests, opts) in example_batches(cfg.vocab) {
+        let report = e.verify_serve(&t, &requests, &opts).unwrap();
+        assert_clean(name, &report);
+        out += &proof_line(&format!("example/{name}"), &report.stats);
+    }
+
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let e = engine(3);
+    for (name, (requests, opts)) in [
+        ("plain", plain_batch()),
+        ("prefix_sharing", prefix_sharing_batch()),
+        ("eviction", eviction_batch()),
+        ("faulty", faulty_batch()),
+        ("small", small_batch()),
+        ("empty", (Vec::new(), ServeOptions::default())),
+    ] {
+        let report = e.verify_serve(&t, &requests, &opts).unwrap();
+        assert_clean(name, &report);
+        out += &proof_line(name, &report.stats);
+    }
+
+    for (prompt, chunk, shadow) in PREFILL_SHAPES {
+        let report = verify(&prefill_graph(prompt, chunk, shadow).verify_plan());
+        out += &proof_line(&format!("prefill/{prompt}x{chunk}/{shadow}"), &report.stats);
+    }
+    assert_golden("verify_proof_sizes.txt", &out);
 }
