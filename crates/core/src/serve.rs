@@ -112,12 +112,11 @@
 //! [`Sampler`]: llmnpu_model::sample::Sampler
 //! [`Transformer::generate`]: llmnpu_model::forward::Transformer::generate
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::{build_prefill_dag, PrefillDag, TaskRole};
 use llmnpu_graph::layer::Stage;
 use llmnpu_kv::{
@@ -134,6 +133,7 @@ use llmnpu_sched::{
 use llmnpu_soc::memory::MemoryModel;
 use llmnpu_soc::{Millis, Processor};
 use llmnpu_tensor::Tensor;
+use llmnpu_verify::{Access, Segment, TaskClass, TaskFacts};
 
 use crate::decode::DecodeSim;
 use crate::engine::LlmNpuEngine;
@@ -1035,7 +1035,7 @@ struct Planner<'r> {
     /// gate on its evicted predecessor (they share the runtime cache
     /// slot, so the old incarnation's release must precede the new
     /// reservation).
-    last_seg_of_req: Vec<Option<usize>>,
+    latest_seg: Vec<Option<usize>>,
     free: usize,
 }
 
@@ -1075,19 +1075,20 @@ impl<'r> Planner<'r> {
         // resident until this admission physically retains it. Pending
         // pages of earlier segments this round match like cached ones.
         let prompt = &self.requests[req].prompt;
-        let hit = if self.share && prompt.len() > 1 {
+        let mut hit = if self.share && prompt.len() > 1 {
             Some(self.cache.lookup(&prompt[..prompt.len() - 1]))
                 .filter(|hit| hit.matched_tokens() > 0)
         } else {
             None
         };
-        let producers = hit.as_ref().map_or_else(Vec::new, CachedPrefix::producers);
-        let need = self
+        let mut producers = hit.as_ref().map_or_else(Vec::new, CachedPrefix::producers);
+        let total = self.requests[req].total_tokens();
+        let mut need = self
             .pool_cfg
-            .blocks_for(self.requests[req].total_tokens() - hit.as_ref().map_or(0, |h| h.tokens));
+            .blocks_for(total - hit.as_ref().map_or(0, |h| h.tokens));
         let mut gates: Vec<(usize, GateKind)> = Vec::new();
         let mut reclaims: Vec<usize> = Vec::new();
-        if let Some(prev) = self.last_seg_of_req[req] {
+        if let Some(prev) = self.latest_seg[req] {
             gates.push((prev, GateKind::Done));
         }
         loop {
@@ -1194,6 +1195,16 @@ impl<'r> Planner<'r> {
             }
             // Wait for the earliest active request's pages.
             if self.active.is_empty() {
+                if !producers.is_empty() {
+                    // Everything else is released and pages still fall
+                    // short: the producers' retained pages plus this
+                    // admission's own exceed the pool. Plan it without
+                    // reuse, which makes those promises reclaimable.
+                    hit = None;
+                    producers.clear();
+                    need = self.pool_cfg.blocks_for(total);
+                    continue;
+                }
                 return Err(Error::InvalidConfig {
                     what: format!(
                         "request {req} needs {need} KV pages but the pool has only {} total",
@@ -1235,7 +1246,7 @@ impl<'r> Planner<'r> {
             reclaimed: false,
             reclaims,
         });
-        self.last_seg_of_req[req] = Some(seg);
+        self.latest_seg[req] = Some(seg);
         self.active.push(seg);
         if let Some(sink) = self.sink {
             let gates = self.segments[seg].gates.len();
@@ -1282,7 +1293,7 @@ fn plan_batch(
         sink,
         segments: Vec::new(),
         active: Vec::new(),
-        last_seg_of_req: vec![None; requests.len()],
+        latest_seg: vec![None; requests.len()],
     };
     let mut pending: VecDeque<(usize, usize)> = (0..requests.len()).map(|r| (r, 0)).collect();
     while let Some((req, attempt)) = pending.pop_front() {
@@ -1405,6 +1416,8 @@ struct RoundOutput {
     /// The static verifier's (clean) report for the round's spliced
     /// graph — findings would have aborted the round instead.
     verified: llmnpu_verify::Report,
+    /// The proven plan, kept by a dry run only.
+    plan: Option<llmnpu_verify::Plan>,
 }
 
 /// Whether a round executes its graph or stops after static
@@ -1639,7 +1652,6 @@ impl LlmNpuEngine {
         let decode_batch = if row_wise { opts.decode_batch } else { 1 };
         let faults = opts.faults.clone().unwrap_or_default();
         let metrics_base = cache.metrics();
-        let pool_cfg = pool.config().clone();
         if let Some(o) = obs {
             // First install wins; session paths already installed at
             // open time with (normally) the same sink.
@@ -1697,7 +1709,6 @@ impl LlmNpuEngine {
                 &input,
                 opts,
                 pool,
-                &pool_cfg,
                 cache,
                 &faults,
                 share,
@@ -1900,6 +1911,20 @@ impl LlmNpuEngine {
         requests: &[GenerationRequest],
         opts: &ServeOptions,
     ) -> Result<llmnpu_verify::Report> {
+        Ok(self
+            .dry_run(t, requests, opts)?
+            .map_or_else(llmnpu_verify::Report::default, |(_, report)| report))
+    }
+
+    /// Plans, builds and proves the first round of `requests` exactly as
+    /// [`LlmNpuEngine::serve`] would, without running a task: the proven
+    /// plan and its report (`None` for an empty batch).
+    fn dry_run(
+        &self,
+        t: &Transformer<'_>,
+        requests: &[GenerationRequest],
+        opts: &ServeOptions,
+    ) -> Result<Option<(llmnpu_verify::Plan, llmnpu_verify::Report)>> {
         validate_inputs(requests, opts)?;
         let row_wise = t.backend_row_wise();
         let share = opts.share_prefixes && row_wise;
@@ -1907,9 +1932,9 @@ impl LlmNpuEngine {
         let faults = opts.faults.clone().unwrap_or_default();
         let pool_cfg = serve_pool_config(t, requests, opts, &faults)?;
         if requests.is_empty() {
-            return Ok(llmnpu_verify::Report::default());
+            return Ok(None);
         }
-        let pool = Arc::new(BlockPool::new(pool_cfg.clone()).map_err(kv_err)?);
+        let pool = Arc::new(BlockPool::new(pool_cfg).map_err(kv_err)?);
         let cache = PrefixCache::new(opts.block_tokens);
         let input = RoundInput {
             requests: requests.to_vec(),
@@ -1921,7 +1946,6 @@ impl LlmNpuEngine {
             &input,
             opts,
             &pool,
-            &pool_cfg,
             &cache,
             &faults,
             share,
@@ -1929,7 +1953,7 @@ impl LlmNpuEngine {
             RoundMode::DryRun,
             opts.obs.as_ref(),
         )?;
-        Ok(out.verified)
+        Ok(out.plan.map(|plan| (plan, out.verified)))
     }
 
     /// Plans, builds, and executes one retry round's combined lane graph
@@ -1945,7 +1969,6 @@ impl LlmNpuEngine {
         input: &RoundInput,
         opts: &ServeOptions,
         pool: &Arc<BlockPool>,
-        pool_cfg: &PoolConfig,
         cache: &PrefixCache,
         faults: &FaultPlan,
         share: bool,
@@ -2003,620 +2026,70 @@ impl LlmNpuEngine {
             .collect();
         // Per-segment prefill machinery over the unshared suffix.
         let mut dags: Vec<PrefillDag> = Vec::with_capacity(segments.len());
-        let mut plans: Vec<ChunkPlan> = Vec::with_capacity(segments.len());
+        let mut programs: Vec<PrefillProgram<'_, '_>> = Vec::with_capacity(segments.len());
         for seg in &segments {
             let shared_tokens = seg.prefix_tokens();
-            let suffix_len = requests[seg.req].prompt.len() - shared_tokens;
-            let dag_cfg = self.dag_config(suffix_len)?;
-            plans.push(dag_cfg.plan.clone());
-            dags.push(build_prefill_dag(
-                t.config(),
-                &dag_cfg,
-                self.latency_model(),
-            )?);
-        }
-        let mut programs: Vec<PrefillProgram<'_, '_>> = Vec::with_capacity(segments.len());
-        for (s, seg) in segments.iter().enumerate() {
-            let shared_tokens = seg.prefix_tokens();
             let suffix = &requests[seg.req].prompt[shared_tokens..];
+            let dag_cfg = self.dag_config(suffix.len())?;
+            let dag = build_prefill_dag(t.config(), &dag_cfg, self.latency_model())?;
             programs.push(PrefillProgram::new_paged(
                 t,
                 suffix,
-                &dags[s],
-                &plans[s],
+                &dag,
+                &dag_cfg.plan,
                 shared_tokens,
                 &slots[seg.req],
             )?);
+            dags.push(dag);
         }
 
         // ---- Build the combined lane graph --------------------------------
-        let mut graph = LaneGraph::new();
-        let mut closures: Vec<TaskFn<'_>> = Vec::new();
-        let mut meta: Vec<TaskMeta> = Vec::new();
-        let mut builds: Vec<SegBuild> = Vec::new();
-        // Decode task id per (request, step) — the token stream spans.
-        let mut token_tasks: Vec<Vec<usize>> =
-            requests.iter().map(|r| vec![0; r.max_new_tokens]).collect();
-        // Cohort id -> member segments, flushed when complete.
-        let mut cohort_members: Vec<Vec<usize>> = vec![Vec::new(); cohort_count];
-        let mut cohort_flushed: Vec<bool> = vec![false; cohort_count];
-
-        // Flushing a cohort emits its batched decode chain + releases.
-        // (Closure-free helper: needs many locals, so implemented as a
-        // macro-like fn below via explicit parameters.)
-        #[allow(clippy::too_many_arguments)]
-        fn flush_cohort<'run>(
-            c: usize,
-            cohort_members: &[Vec<usize>],
-            segments: &[SegmentPlan],
-            requests: &'run [GenerationRequest],
-            orig_ids: &[usize],
-            attempt_base: &[usize],
-            builds: &mut [SegBuild],
-            graph: &mut LaneGraph,
-            closures: &mut Vec<TaskFn<'run>>,
-            meta: &mut Vec<TaskMeta>,
-            token_tasks: &mut [Vec<usize>],
-            states: &'run [Mutex<ReqState>],
-            slots: &'run [Mutex<Option<PagedKvCache>>],
-            runtime: &'run [ReqRuntime],
-            faults: &'run FaultPlan,
-            t: &'run Transformer<'run>,
-            dsim: &DecodeSim,
-            decode_proc: Processor,
-            on_token: Option<&'run TokenSink>,
-        ) -> Result<()> {
-            let members = &cohort_members[c];
-            let mut chain_prev: Vec<usize> =
-                members.iter().map(|&s| builds[s].prefill_finish).collect();
-            let max_steps = members
+        let mut round = RoundBuilder {
+            requests,
+            input,
+            segments: &segments,
+            dags: &dags,
+            programs: &programs,
+            states: &states,
+            slots: &slots,
+            runtime: &runtime,
+            pool,
+            cache,
+            faults,
+            t,
+            dsim: &dsim,
+            decode_proc,
+            on_token: opts.on_token.as_ref(),
+            layers: t.config().layers,
+            coverage: segments
                 .iter()
-                .map(|&s| requests[segments[s].req].max_new_tokens)
-                .max()
-                .unwrap_or(0);
-            // `step` indexes into each member's per-request token-task
-            // vec, not a single container — the range loop is the shape.
-            #[allow(clippy::needless_range_loop)]
-            for step in 0..max_steps {
-                let active: Vec<usize> = (0..members.len())
-                    .filter(|&i| step < requests[segments[members[i]].req].max_new_tokens)
-                    .collect();
-                let width = active.len();
-                let mut deps: Vec<usize> = active.iter().map(|&i| chain_prev[i]).collect();
-                deps.sort_unstable();
-                deps.dedup();
-                let duration = active
-                    .iter()
-                    .map(|&i| {
-                        let req = segments[members[i]].req;
-                        let factor = faults.duration_factor(
-                            orig_ids[req],
-                            attempt_base[req] + segments[members[i]].attempt + 1,
-                        );
-                        dsim.token_ms(requests[req].prompt.len() + step) * factor
-                    })
-                    .fold(0.0, f64::max);
-                let release = active
-                    .iter()
-                    .map(|&i| requests[segments[members[i]].req].arrival_ms)
-                    .fold(0.0, f64::max);
-                let first_req = segments[members[active[0]]].req;
-                let (label, kind) = if width == 1 {
-                    (
-                        format!("R{}-D{step}", orig_ids[first_req]),
-                        ServeTaskKind::Decode { step },
-                    )
-                } else {
-                    (
-                        format!("C{c}-D{step}x{width}"),
-                        ServeTaskKind::DecodeBatch { step, width },
-                    )
-                };
-                // Decode tasks are containment barriers: a failed (or
-                // skipped) member's chain must not poison the cohort —
-                // the task runs for whoever is still live and the
-                // per-member filter inside the body excludes the rest.
-                let id = graph.push(
-                    LaneTask {
-                        label,
-                        processor: decode_proc,
-                        duration_ms: duration,
-                        release_ms: release,
-                        barrier: true,
-                    },
-                    deps,
-                )?;
-                meta.push(TaskMeta {
-                    member: first_req,
-                    attempt: attempt_base[first_req] + segments[members[active[0]]].attempt,
-                    kind,
-                    members: active.iter().map(|&i| segments[members[i]].req).collect(),
-                });
-                let member_info: Vec<DecodeMember> = active
-                    .iter()
-                    .map(|&i| {
-                        let req = segments[members[i]].req;
-                        DecodeMember {
-                            member: req,
-                            prompt_len: requests[req].prompt.len(),
-                            orig: orig_ids[req],
-                            attempt: attempt_base[req] + segments[members[i]].attempt + 1,
-                        }
-                    })
-                    .collect();
-                closures.push(Box::new(move || {
-                    decode_step_body(
-                        &member_info,
-                        step,
-                        states,
-                        slots,
-                        runtime,
-                        faults,
-                        t,
-                        on_token,
-                    )
-                }));
-                for &i in &active {
-                    chain_prev[i] = id;
-                    token_tasks[segments[members[i]].req][step] = id;
-                }
-            }
-            // Record each member's final decode task; the Release task
-            // is emitted separately, when a later segment first gates
-            // on it or in the final sweep.
-            for (i, &s) in members.iter().enumerate() {
-                builds[s].last_decode = Some(chain_prev[i]);
-            }
-            Ok(())
-        }
-
-        /// Emits one segment's Release task: pages go back once the
-        /// member's stream is done. Pages a later reader reuses are not
-        /// among them — the prefix cache holds its own reference on
-        /// every published prompt page.
-        #[allow(clippy::too_many_arguments)] // mirrors flush_cohort's plumbing
-        fn emit_release<'run>(
-            s: usize,
-            segments: &[SegmentPlan],
-            requests: &'run [GenerationRequest],
-            orig_ids: &[usize],
-            attempt_base: &[usize],
-            builds: &mut [SegBuild],
-            graph: &mut LaneGraph,
-            closures: &mut Vec<TaskFn<'run>>,
-            meta: &mut Vec<TaskMeta>,
-            slots: &'run [Mutex<Option<PagedKvCache>>],
-            decode_proc: Processor,
-        ) -> Result<()> {
-            let req = segments[s].req;
-            let last_decode = builds[s].last_decode.ok_or_else(|| Error::Internal {
-                what: format!("release for segment {s} emitted before its cohort was flushed"),
-            })?;
-            // Release is a containment barrier and is never gate-skipped:
-            // pages must return to the pool on every terminal path.
-            let id = graph.push(
-                LaneTask {
-                    label: format!("R{}-Release", orig_ids[req]),
-                    processor: decode_proc,
-                    duration_ms: FINISH_TASK_MS,
-                    release_ms: requests[req].arrival_ms,
-                    barrier: true,
-                },
-                vec![last_decode],
-            )?;
-            meta.push(TaskMeta {
-                member: req,
-                attempt: attempt_base[req] + segments[s].attempt,
-                kind: ServeTaskKind::Release,
-                members: vec![req],
-            });
-            let slot = &slots[req];
-            closures.push(Box::new(move || release_slot(slot)));
-            builds[s].release = Some(id);
-            Ok(())
-        }
-
-        // Admissions are chained in planned order: the planner's page
-        // accounting for segment `s` assumes every earlier-planned
-        // segment already reserved (or skipped) its pages, but a fault-
-        // poisoned chain can collapse early and let a later-planned
-        // Admit's gates resolve first — letting it steal pages the plan
-        // earmarked for an earlier one and fail its physical reserve.
-        // The chain pins physical reservation order to planned order
-        // (Admit is a barrier, so a failed predecessor doesn't poison
-        // it; the page-accounting inequality then holds by induction).
-        let mut prev_admit: Option<usize> = None;
-        for (s, seg) in segments.iter().enumerate() {
-            // Any Done gate on a normal segment needs that segment's
-            // Release task — flush its cohort's decode chain, then emit
-            // just *that* segment's Release.
-            for &(g, kind) in &seg.gates {
-                if kind == GateKind::Done && !segments[g].evicted {
-                    let c = segments[g].cohort;
-                    if !cohort_flushed[c] {
-                        flush_cohort(
-                            c,
-                            &cohort_members,
-                            &segments,
-                            requests,
-                            &input.orig_ids,
-                            &input.attempt_base,
-                            &mut builds,
-                            &mut graph,
-                            &mut closures,
-                            &mut meta,
-                            &mut token_tasks,
-                            &states,
-                            &slots,
-                            &runtime,
-                            faults,
-                            t,
-                            &dsim,
-                            decode_proc,
-                            opts.on_token.as_ref(),
-                        )?;
-                        cohort_flushed[c] = true;
-                    }
-                    if builds[g].release.is_none() {
-                        emit_release(
-                            g,
-                            &segments,
-                            requests,
-                            &input.orig_ids,
-                            &input.attempt_base,
-                            &mut builds,
-                            &mut graph,
-                            &mut closures,
-                            &mut meta,
-                            &slots,
-                            decode_proc,
-                        )?;
-                    }
-                }
-            }
-            let req = seg.req;
-            let request = &requests[req];
-            let orig = input.orig_ids[req];
-            // Attempt numbering is global across rounds: memory-pressure
-            // evictions and failure retries share one ladder, so the
-            // attempt-numbered spans witness both preemption *and* retry.
-            let attempt = input.attempt_base[req] + seg.attempt;
-            let fault_attempt = attempt + 1; // 1-based, FaultSpec keying
-            let dur_factor = faults.duration_factor(orig, fault_attempt);
-            let rlabel = if attempt == 0 {
-                format!("R{orig}")
-            } else {
-                format!("R{orig}.{attempt}")
-            };
-
-            // Admission: reserve pages on top of the reused prefix.
-            let mut gate_deps: Vec<usize> = Vec::with_capacity(seg.gates.len() + 1);
-            for &(g, kind) in &seg.gates {
-                gate_deps.push(match kind {
-                    GateKind::PrefillDone => builds[g].prefill_finish,
-                    GateKind::Done => {
-                        if segments[g].evicted {
-                            builds[g].prefill_finish
-                        } else {
-                            builds[g].release.ok_or_else(|| Error::Internal {
-                                what: format!(
-                                    "segment {s} gates on segment {g}'s release, \
-                                     which was never emitted"
-                                ),
-                            })?
-                        }
-                    }
-                });
-            }
-            if let Some(prev) = prev_admit {
-                gate_deps.push(prev);
-            }
-            // Admit is a barrier (it must *run* after failed gates so a
-            // prefix whose producer never published it fails the reader
-            // cleanly), but it is gate-skippable: a request already
-            // cancelled or expired reserves nothing.
-            let admit = graph.push(
-                LaneTask {
-                    label: format!("{rlabel}-Admit"),
-                    processor: decode_proc,
-                    duration_ms: FINISH_TASK_MS,
-                    release_ms: request.arrival_ms,
-                    barrier: true,
-                },
-                gate_deps,
-            )?;
-            meta.push(TaskMeta {
-                member: req,
-                attempt,
-                kind: ServeTaskKind::Admit,
-                members: vec![req],
-            });
-            prev_admit = Some(admit);
-            {
-                let pool = Arc::clone(pool);
-                let slot = &slots[req];
-                // The exact pages the plan reuses: the full pages along
-                // the prompt, plus a partial tail — resident at plan
-                // time, or pending, in which case it is the page below
-                // them on its producer's own prompt path.
-                let bt = pool_cfg.block_tokens;
-                let tail = seg.hit.as_ref().and_then(|hit| hit.tail);
-                let path: &[u32] = match (&seg.hit, tail) {
-                    (Some(hit), Some((CachedBlock::Pending(p), _))) => {
-                        &requests[segments[p].req].prompt[..hit.tokens + bt]
-                    }
-                    _ => &request.prompt[..seg.prefix_full_tokens()],
-                };
-                // Pages a stage-2 reclaim counted free: each reclaimed
-                // segment's promised pages are the last `retained` of its
-                // full-page path, and readers' pages sit below them.
-                let reclaim_paths: Vec<&[u32]> = seg
-                    .reclaims
-                    .iter()
-                    .map(|&g| {
-                        let prompt = &requests[segments[g].req].prompt;
-                        let first = prompt.len() / bt - segments[g].retained;
-                        &prompt[..(first + 1) * bt]
-                    })
-                    .collect();
-                let total = request.total_tokens();
-                let admit_fault = faults
-                    .fault_at(orig, fault_attempt, FaultSite::Admit)
-                    .copied();
-                let prefix_cache = cache;
-                closures.push(contain(
-                    &runtime[req],
-                    Box::new(move || {
-                        if let Some(f) = admit_fault {
-                            let msg = format!("injected admit fault: request {orig}");
-                            match f.mode {
-                                FaultMode::Panic => panic!("{msg}"),
-                                FaultMode::Error => return Err(msg),
-                            }
-                        }
-                        // Take back the reclaimed pages: their producers
-                        // and readers are done (the gates order that).
-                        for path in &reclaim_paths {
-                            prefix_cache
-                                .evict_subtree(&pool, path)
-                                .map_err(|e| e.to_string())?;
-                        }
-                        // Resolve the planned pages to resident blocks. A
-                        // page still pending means its producer never
-                        // published it (failed, cancelled, preempted) —
-                        // a contained failure the retry round replans.
-                        let mut prefix = prefix_cache
-                            .resident(path)
-                            .ok_or("prefix producer prefill incomplete")?;
-                        let tail = match tail {
-                            Some((CachedBlock::Filled(block), rows)) => Some((block, rows)),
-                            Some((CachedBlock::Pending(_), rows)) => {
-                                prefix.pop().map(|block| (block, rows))
-                            }
-                            None => None,
-                        };
-                        // Retain the reused full pages, then row-copy the
-                        // partial tail into the first fresh page.
-                        let c = PagedKvCache::reserve_with_prefix(&pool, &prefix, total)
-                            .map_err(|e| e.to_string())?;
-                        if let Some((src, rows)) = tail {
-                            let dst = c.table().blocks()[prefix.len()];
-                            if let Err(e) = pool.copy_rows(src, dst, rows) {
-                                let mut c = c;
-                                let _ = c.release();
-                                return Err(e.to_string());
-                            }
-                        }
-                        *plain_lock(slot) = Some(c);
-                        Ok(())
-                    }),
-                ));
-            }
-
-            // The suffix prefill DAG; roots wait on admission.
-            let offset = graph.len();
-            for (i, task) in dags[s].tasks().iter().enumerate() {
-                let mut deps: Vec<usize> = dags[s].deps(i).iter().map(|&d| d + offset).collect();
-                if deps.is_empty() {
-                    deps.push(admit);
-                }
-                graph.push(
-                    LaneTask {
-                        label: format!("{rlabel}-{}", task.label),
-                        processor: task.processor,
-                        duration_ms: task.duration_ms * dur_factor,
-                        release_ms: request.arrival_ms,
-                        barrier: false,
-                    },
-                    deps,
-                )?;
-                meta.push(TaskMeta {
-                    member: req,
-                    attempt,
-                    kind: ServeTaskKind::PrefillStage {
-                        chunk: task.chunk,
-                        layer: task.layer,
-                        stage: task.stage,
-                        role: task.role,
-                    },
-                    members: vec![req],
-                });
-            }
-            closures.extend(
-                programs[s]
-                    .closures(&dags[s])
-                    .into_iter()
-                    .map(|f| contain(&runtime[req], f)),
-            );
-            // Scripted prefill faults replace the matching stage closure
-            // (the Main-path FFN of the targeted chunk/layer — a unique
-            // task per site) outright.
-            if !faults.faults.is_empty() {
-                for (i, task) in dags[s].tasks().iter().enumerate() {
-                    if task.role != TaskRole::Main || task.stage != Stage::Ffn {
-                        continue;
-                    }
-                    let site = FaultSite::Prefill {
-                        chunk: task.chunk,
-                        layer: task.layer,
-                    };
-                    if let Some(f) = faults.fault_at(orig, fault_attempt, site) {
-                        let msg = format!(
-                            "injected prefill fault: request {orig} chunk {} layer {}",
-                            task.chunk, task.layer
-                        );
-                        let inner: TaskFn<'_> = match f.mode {
-                            FaultMode::Panic => Box::new(move || panic!("{msg}")),
-                            FaultMode::Error => Box::new(move || Err(msg)),
-                        };
-                        closures[offset + i] = contain(&runtime[req], inner);
-                    }
-                }
-            }
-
-            // Prefill terminal: last-hidden assembly — or, for a
-            // preempted incarnation, the eviction (pages freed, work
-            // discarded).
-            let mut finish_deps: Vec<usize> =
-                dag_sinks(&dags[s]).iter().map(|&k| k + offset).collect();
-            if finish_deps.is_empty() {
-                finish_deps.push(admit);
-            }
-            let (flabel, fkind) = if seg.evicted {
-                (format!("{rlabel}-Evicted"), ServeTaskKind::Evicted)
-            } else {
-                (
-                    format!("{rlabel}-PrefillFinish"),
-                    ServeTaskKind::PrefillFinish,
-                )
-            };
-            // An eviction is a containment barrier (its page release must
-            // run even when the incarnation's prefill failed); a real
-            // PrefillFinish is not — a failed prefill poisons it.
-            let finish = graph.push(
-                LaneTask {
-                    label: flabel,
-                    processor: decode_proc,
-                    duration_ms: FINISH_TASK_MS,
-                    release_ms: request.arrival_ms,
-                    barrier: seg.evicted,
-                },
-                finish_deps,
-            )?;
-            meta.push(TaskMeta {
-                member: req,
-                attempt,
-                kind: fkind,
-                members: vec![req],
-            });
-            if seg.evicted {
-                let slot = &slots[req];
-                closures.push(Box::new(move || release_slot(slot)));
-            } else {
-                let program = &programs[s];
-                let state = &states[req];
-                let pool = Arc::clone(pool);
-                let slot = &slots[req];
-                let prompt = &requests[req].prompt;
-                // Only pages the segment still promises are published: a
-                // promise withdrawn at plan time (pages reclaimed to admit
-                // another request) means they return to the pool at its
-                // release, exactly as the plan counted them.
-                let publish = seg.retained > 0;
-                closures.push(contain(
-                    &runtime[req],
-                    Box::new(move || {
-                        let last = program.last_hidden_row().map_err(|e| e.to_string())?;
-                        plain_lock(state).last_hidden = Some(last);
-                        if publish {
-                            // Fill this segment's pending pages for
-                            // same-round readers and keep them for later
-                            // batches. Failure here is a contained request
-                            // failure, like any prefill fault.
-                            let blocks = {
-                                let guard = plain_lock(slot);
-                                let c = guard.as_ref().ok_or("prefill cache slot empty")?;
-                                c.table().blocks().to_vec()
-                            };
-                            cache
-                                .insert(&pool, prompt, &blocks, s)
-                                .map_err(|e| e.to_string())?;
-                        }
-                        Ok(())
-                    }),
-                ));
-                cohort_members[seg.cohort].push(s);
-            }
-            builds.push(SegBuild {
-                admit,
-                prefill_finish: finish,
-                last_decode: None,
-                release: None,
-            });
-        }
-        for (c, flushed) in cohort_flushed.iter_mut().enumerate() {
-            if !*flushed {
-                flush_cohort(
-                    c,
-                    &cohort_members,
-                    &segments,
-                    requests,
-                    &input.orig_ids,
-                    &input.attempt_base,
-                    &mut builds,
-                    &mut graph,
-                    &mut closures,
-                    &mut meta,
-                    &mut token_tasks,
-                    &states,
-                    &slots,
-                    &runtime,
-                    faults,
-                    t,
-                    &dsim,
-                    decode_proc,
-                    opts.on_token.as_ref(),
-                )?;
-                *flushed = true;
-            }
-        }
-        // Every surviving segment returns its pages.
-        for s in 0..segments.len() {
-            if !segments[s].evicted && builds[s].release.is_none() {
-                emit_release(
-                    s,
-                    &segments,
-                    requests,
-                    &input.orig_ids,
-                    &input.attempt_base,
-                    &mut builds,
-                    &mut graph,
-                    &mut closures,
-                    &mut meta,
-                    &slots,
-                    decode_proc,
-                )?;
-            }
-        }
-        debug_assert_eq!(graph.len(), closures.len());
-        debug_assert_eq!(graph.len(), meta.len());
+                .enumerate()
+                .map(|(s, seg)| kv_coverage(s, seg, requests, pool.config().block_tokens))
+                .collect(),
+            graph: LaneGraph::new(),
+            closures: Vec::new(),
+            meta: Vec::new(),
+            builds: Vec::with_capacity(segments.len()),
+            token_tasks: requests.iter().map(|r| vec![0; r.max_new_tokens]).collect(),
+            cohorts: vec![(Vec::new(), false); cohort_count],
+        };
+        round.build(free_blocks)?;
+        let RoundBuilder {
+            graph,
+            closures,
+            meta,
+            builds,
+            token_tasks,
+            ..
+        } = round;
 
         // ---- Static plan verification -------------------------------------
         // The spliced graph carries every invariant the round relies on:
         // acyclicity, the pinned admission order, race-free KV writes,
         // the page budget, and poison-proof cleanup. Prove all of them
         // before a single closure runs; a finding aborts the round.
-        let vplan = build_verify_plan(
-            &graph,
-            &meta,
-            &segments,
-            &builds,
-            &plans,
-            input,
-            pool_cfg,
-            free_blocks,
-        );
-        let verified = llmnpu_verify::verify(&vplan);
+        let plan = graph.verify_plan();
+        let verified = llmnpu_verify::verify(&plan);
         if !verified.is_clean() {
             return Err(Error::PlanRejected {
                 findings: verified.findings.iter().map(ToString::to_string).collect(),
@@ -2641,8 +2114,10 @@ impl LlmNpuEngine {
                 evictions,
                 shared_blocks,
                 verified,
+                plan: Some(plan),
             });
         }
+        drop(plan);
 
         // ---- Run the combined graph on the engine's lanes -----------------
         // Fault-contained: a task failure poisons only its request's
@@ -2652,7 +2127,7 @@ impl LlmNpuEngine {
         let gate_sink: Option<&TraceSink> = obs.map(|o| o.sink.as_ref());
         let gate: GateFn<'_> = Box::new(|task: usize, now: f64| -> bool {
             let m = &meta[task];
-            let skippable = !matches!(m.kind, ServeTaskKind::Release | ServeTaskKind::Evicted);
+            let skippable = graph.tasks()[task].facts.gated;
             let mut all_terminal = !m.members.is_empty();
             for &mem in &m.members {
                 let rt = &runtime[mem];
@@ -2841,258 +2316,702 @@ impl LlmNpuEngine {
             evictions,
             shared_blocks,
             verified,
+            plan: None,
         })
     }
 }
 
-/// Translates one round's spliced lane graph plus the planner's segment
-/// metadata into an [`llmnpu_verify::Plan`] for static verification.
+/// One round's combined lane graph under construction.
 ///
-/// The structural half (tasks, lanes, edges, barriers, times) comes from
-/// [`LaneGraph::verify_plan`]; this function enriches it with what only
-/// serve knows:
+/// Every task goes through [`RoundBuilder::push`], which appends the
+/// task, its closure and its serving metadata together, so the three
+/// stay index-aligned. Each push site attaches the task's verifier
+/// facts ([`TaskFacts`]) from what it already knows — segment, layer,
+/// positions — so the proof covers the graph that runs:
 ///
-/// - **Gate/fault flags** mirroring the dispatch gate's closure (every
-///   kind is gate-skippable except `Release` and `Evicted`) and the
-///   `contain` wrapping (admission, prefill, and decode bodies can
-///   fail; the slot-draining cleanup tasks cannot).
-/// - **KV address spaces**: space `seg * layers + layer` holds segment
+/// - **Gating and failure.** Every request-owned task is gated except
+///   the Release and Evicted cleanup barriers; Admit, prefill and decode
+///   bodies can fail (they run under [`contain`]), the slot-draining
+///   cleanup tasks cannot.
+/// - **KV address spaces.** Space `seg * layers + layer` holds segment
 ///   `seg`'s absolute token positions at one decoder layer. Writers are
-///   the KV-appending `QkvLinear` stages (the `Main` role when no shadow
-///   split took the stage, the `MergeSync` role when one did) and decode
-///   steps ≥ 1 (position `prompt + step − 1`); readers are `Attention`
-///   stages (Equation 2's visibility: everything through the chunk's
-///   end) and decode steps (everything before the new position).
-/// - **Prefix reuse**, keyed per page: a reader's positions in a page
-///   that was *pending* at plan time map to the producer's space (the
-///   producer computed that page itself, so it is the in-plan writer),
-///   and a row-copied tail from a pending page is an Admit read of the
-///   producer's rows. Pages that were already resident have no in-plan
-///   writer, so their positions are deliberately invisible to the race
-///   checker — only the tail's write into the reader's own space is
-///   declared. A reader never writes a producer's space (copy-on-write
-///   gives it fresh pages).
+///   the prefill tasks [`PrefillProgram::kv_footprint`] names and decode
+///   steps ≥ 1 (position `prompt + step − 1`); readers are attention
+///   stages and decode steps, through [`RoundBuilder::coverage`].
 /// - **The cache-slot space** (one cell per round member, after the KV
-///   spaces): admission installs a cache, release/eviction drains it.
-/// - **The segment table** for the page-budget and leak proofs: fresh
-///   blocks per admission (the planner's own figure), blocks the global
-///   prefix cache retains past the terminal, the pages reused from each
-///   same-round producer, and each incarnation's terminal (Release, or
-///   Evicted for a preempted one).
+///   spaces): admission installs a cache, release and eviction drain it.
 ///
-/// `free_blocks` is the pool's free count *after* planning: every cache
-/// eviction the planner needed has already happened, so it is the
-/// round's true page budget.
-#[allow(clippy::too_many_arguments)] // mirrors the serving plumbing
-fn build_verify_plan(
-    graph: &LaneGraph,
-    meta: &[TaskMeta],
-    segments: &[SegmentPlan],
-    builds: &[SegBuild],
-    plans: &[ChunkPlan],
-    input: &RoundInput,
-    pool_cfg: &PoolConfig,
-    free_blocks: usize,
-) -> llmnpu_verify::Plan {
-    use llmnpu_verify::{Access, Segment, TaskClass};
+/// [`RoundBuilder::build`] ends by attaching the segment table for the
+/// page-budget and leak proofs.
+struct RoundBuilder<'run> {
+    requests: &'run [GenerationRequest],
+    input: &'run RoundInput,
+    segments: &'run [SegmentPlan],
+    dags: &'run [PrefillDag],
+    programs: &'run [PrefillProgram<'run, 'run>],
+    states: &'run [Mutex<ReqState>],
+    slots: &'run [Mutex<Option<PagedKvCache>>],
+    runtime: &'run [ReqRuntime],
+    pool: &'run Arc<BlockPool>,
+    cache: &'run PrefixCache,
+    faults: &'run FaultPlan,
+    t: &'run Transformer<'run>,
+    dsim: &'run DecodeSim,
+    decode_proc: Processor,
+    on_token: Option<&'run TokenSink>,
+    layers: usize,
+    /// Per segment, `(segment, lo, hi)`: whose KV space backs its
+    /// positions `[lo, hi)` ([`kv_coverage`]).
+    coverage: Vec<Vec<(usize, usize, usize)>>,
+    graph: LaneGraph,
+    closures: Vec<TaskFn<'run>>,
+    meta: Vec<TaskMeta>,
+    builds: Vec<SegBuild>,
+    /// Decode task id per (request, step) — the token stream spans.
+    token_tasks: Vec<Vec<usize>>,
+    /// Per cohort: member segments, and whether its decode chain is
+    /// built.
+    cohorts: Vec<(Vec<usize>, bool)>,
+}
 
-    let requests: &[GenerationRequest] = &input.requests;
-    let mut plan = graph.verify_plan();
-    let layers = pool_cfg.layers.max(1);
-    let kv_space = |seg: usize, layer: usize| (seg * layers + layer) as u64;
-    let slot_space = (segments.len() * layers) as u64;
-
-    // Which (segment, absolute-position range) backs each segment's KV:
-    // producers' spaces for pages pending at plan time, nothing for
-    // resident cached pages, and its own space from the end of the
-    // reused full pages on.
-    let bt = pool_cfg.block_tokens.max(1) as u64;
-    let coverage: Vec<Vec<(usize, u64, u64)>> = segments
-        .iter()
-        .enumerate()
-        .map(|(s, seg)| {
-            let mut cov: Vec<(usize, u64, u64)> = Vec::new();
-            let pages = seg.hit.iter().flat_map(|hit| &hit.blocks);
-            for (i, block) in (0u64..).zip(pages) {
-                if let CachedBlock::Pending(p) = *block {
-                    match cov.last_mut() {
-                        Some((q, _, hi)) if *q == p && *hi == i * bt => *hi += bt,
-                        _ => cov.push((p, i * bt, (i + 1) * bt)),
-                    }
-                }
-            }
-            let total = requests[seg.req].total_tokens() as u64;
-            cov.push((s, seg.prefix_full_tokens() as u64, total));
-            cov
-        })
-        .collect();
-
-    // Segment of each (member, global attempt); the surviving (non-
-    // evicted) segment per member, which decode tasks belong to.
-    let mut seg_of: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut surviving: Vec<Option<usize>> = vec![None; requests.len()];
-    for (s, seg) in segments.iter().enumerate() {
-        seg_of.insert((seg.req, input.attempt_base[seg.req] + seg.attempt), s);
-        if !seg.evicted {
-            surviving[seg.req] = Some(s);
-        }
-    }
-
-    // Shadow-split sites per segment: their Main QkvLinear computes
-    // pre-merge halves only — the MergeSync task is the KV writer.
-    let mut split_sets: Vec<HashSet<(usize, Stage)>> = vec![HashSet::new(); segments.len()];
-    for m in meta {
-        if let ServeTaskKind::PrefillStage {
-            layer, stage, role, ..
-        } = m.kind
-        {
-            if role == TaskRole::Shadow {
-                if let Some(&s) = seg_of.get(&(m.member, m.attempt)) {
-                    split_sets[s].insert((layer, stage));
-                }
+/// Which segment's KV space backs each of segment `s`'s positions: a
+/// producer's space for pages that were pending at plan time (the
+/// producer computes them itself, so it is their in-plan writer),
+/// nothing for pages already resident (no in-plan writer, so the race
+/// check cannot see them), and `s`'s own space from the end of its
+/// reused full pages on — a row-copied tail included.
+fn kv_coverage(
+    s: usize,
+    seg: &SegmentPlan,
+    requests: &[GenerationRequest],
+    block_tokens: usize,
+) -> Vec<(usize, usize, usize)> {
+    let mut cov: Vec<(usize, usize, usize)> = Vec::new();
+    let pages = seg.hit.iter().flat_map(|hit| &hit.blocks);
+    for (i, block) in pages.enumerate() {
+        if let CachedBlock::Pending(p) = *block {
+            let (lo, hi) = (i * block_tokens, (i + 1) * block_tokens);
+            match cov.last_mut() {
+                Some((q, _, end)) if *q == p && *end == lo => *end = hi,
+                _ => cov.push((p, lo, hi)),
             }
         }
     }
+    cov.push((
+        s,
+        seg.prefix_full_tokens(),
+        requests[seg.req].total_tokens(),
+    ));
+    cov
+}
 
-    for (t, m) in meta.iter().enumerate() {
-        let task = &mut plan.tasks[t];
-        // The dispatch gate's skippability closure, verbatim.
-        task.gated = !matches!(m.kind, ServeTaskKind::Release | ServeTaskKind::Evicted);
-        match m.kind {
-            ServeTaskKind::Admit => {
-                let Some(&s) = seg_of.get(&(m.member, m.attempt)) else {
-                    continue;
-                };
-                task.class = TaskClass::Admit;
-                task.serialized = true;
-                task.fallible = true;
-                task.owner = Some(s);
-                task.writes.push(Access::cell(slot_space, m.member as u64));
-                // Row-copied tail: written into the reader's own space,
-                // read from the producer's rows when the page was
-                // pending at plan time.
-                if let Some((page, rows)) = segments[s].hit.as_ref().and_then(|hit| hit.tail) {
-                    let lo = segments[s].prefix_full_tokens() as u64;
-                    let hi = lo + rows as u64;
-                    for layer in 0..layers {
-                        if let CachedBlock::Pending(p) = page {
-                            task.reads.push(Access::range(kv_space(p, layer), lo, hi));
-                        }
-                        task.writes.push(Access::range(kv_space(s, layer), lo, hi));
-                    }
-                }
-            }
-            ServeTaskKind::PrefillStage {
-                chunk,
-                layer,
-                stage,
-                role,
-            } => {
-                let Some(&s) = seg_of.get(&(m.member, m.attempt)) else {
-                    continue;
-                };
-                task.fallible = true;
-                task.owner = Some(s);
-                task.reads.push(Access::cell(slot_space, m.member as u64));
-                let shared = segments[s].prefix_tokens();
-                let suffix = requests[segments[s].req].prompt.len() - shared;
-                let clen = plans[s].chunk_len;
-                let lo = (shared + chunk * clen) as u64;
-                let hi = (shared + chunk * clen + clen.min(suffix - chunk * clen)) as u64;
-                let writes_kv = match (role, stage) {
-                    (TaskRole::Main, Stage::QkvLinear) => {
-                        !split_sets[s].contains(&(layer, Stage::QkvLinear))
-                    }
-                    (TaskRole::MergeSync, Stage::QkvLinear) => true,
-                    _ => false,
-                };
-                if writes_kv {
-                    task.writes.push(Access::range(kv_space(s, layer), lo, hi));
-                }
-                if role == TaskRole::Main && stage == Stage::Attention {
-                    for &(cs, clo, chi) in &coverage[s] {
-                        let rhi = chi.min(hi);
-                        if clo < rhi {
-                            task.reads
-                                .push(Access::range(kv_space(cs, layer), clo, rhi));
-                        }
-                    }
-                }
-            }
-            ServeTaskKind::PrefillFinish => {
-                let Some(&s) = seg_of.get(&(m.member, m.attempt)) else {
-                    continue;
-                };
-                task.fallible = true;
-                task.owner = Some(s);
-                task.reads.push(Access::cell(slot_space, m.member as u64));
-            }
-            ServeTaskKind::Evicted => {
-                let Some(&s) = seg_of.get(&(m.member, m.attempt)) else {
-                    continue;
-                };
-                task.class = TaskClass::Evict;
-                task.owner = Some(s);
-                task.writes.push(Access::cell(slot_space, m.member as u64));
-            }
-            ServeTaskKind::Decode { step } | ServeTaskKind::DecodeBatch { step, .. } => {
-                task.fallible = true;
-                task.owner = surviving[m.member];
-                for &mem in &m.members {
-                    let Some(s) = surviving[mem] else { continue };
-                    task.reads.push(Access::cell(slot_space, mem as u64));
-                    if step == 0 {
-                        // Step 0 samples from the prefill's last hidden
-                        // row: no forward pass, no KV traffic.
-                        continue;
-                    }
-                    let prompt = requests[mem].prompt.len();
-                    let pos = (prompt + step - 1) as u64;
-                    let hi = (prompt + step) as u64;
-                    for layer in 0..layers {
-                        task.writes.push(Access::cell(kv_space(s, layer), pos));
-                        for &(cs, clo, chi) in &coverage[s] {
-                            let rhi = chi.min(hi);
-                            if clo < rhi {
-                                task.reads
-                                    .push(Access::range(kv_space(cs, layer), clo, rhi));
-                            }
-                        }
-                    }
-                }
-            }
-            ServeTaskKind::Release => {
-                let Some(&s) = seg_of.get(&(m.member, m.attempt)) else {
-                    continue;
-                };
-                task.class = TaskClass::Release;
-                task.owner = Some(s);
-                task.writes.push(Access::cell(slot_space, m.member as u64));
+impl<'run> RoundBuilder<'run> {
+    /// Appends one task with its closure and serving metadata; returns
+    /// its id.
+    fn push(
+        &mut self,
+        task: LaneTask,
+        deps: Vec<usize>,
+        meta: TaskMeta,
+        closure: TaskFn<'run>,
+    ) -> Result<usize> {
+        let id = self.graph.push(task, deps)?;
+        self.meta.push(meta);
+        self.closures.push(closure);
+        Ok(id)
+    }
+
+    /// The cache-slot cell of round member `member`.
+    fn slot_cell(&self, member: usize) -> Access {
+        Access::cell((self.segments.len() * self.layers) as u64, member as u64)
+    }
+
+    /// Positions `[lo, hi)` of segment `seg`'s KV at `layer`.
+    fn kv(&self, seg: usize, layer: usize, lo: usize, hi: usize) -> Access {
+        Access::range((seg * self.layers + layer) as u64, lo as u64, hi as u64)
+    }
+
+    /// Reads of segment `s`'s positions `[0, hi)` at `layer`, each from
+    /// the space that backs it.
+    fn kv_reads(&self, s: usize, layer: usize, hi: usize, out: &mut Vec<Access>) {
+        for &(owner, lo, end) in &self.coverage[s] {
+            if lo < end.min(hi) {
+                out.push(self.kv(owner, layer, lo, end.min(hi)));
             }
         }
     }
 
-    plan.page_capacity = Some(free_blocks);
-    for (s, seg) in segments.iter().enumerate() {
-        plan.segments.push(Segment {
-            admit: Some(builds[s].admit),
-            terminal: if seg.evicted {
-                Some(builds[s].prefill_finish)
-            } else {
-                builds[s].release
-            },
-            fresh_blocks: seg.fresh,
-            // A surviving prefill publishes its full prompt pages to the
-            // global cache: those stay resident past Release (the cache
-            // holds a reference) and only return via eviction/flush —
-            // the planner's final figure, net of withdrawn promises (a
-            // last-resort reclaim credits them at `reclaims` instead).
-            retained_blocks: seg.retained,
-            reused: seg.reused_pages(),
-            reclaims: seg.reclaims.clone(),
+    /// Segment `s`'s round member, original request id, global attempt
+    /// number and label prefix.
+    /// Attempt numbering is global across rounds: memory-pressure
+    /// evictions and failure retries share one ladder, so the
+    /// attempt-numbered spans witness both preemption *and* retry.
+    fn identity(&self, s: usize) -> (usize, usize, usize, String) {
+        let req = self.segments[s].req;
+        let orig = self.input.orig_ids[req];
+        let attempt = self.input.attempt_base[req] + self.segments[s].attempt;
+        let label = if attempt == 0 {
+            format!("R{orig}")
+        } else {
+            format!("R{orig}.{attempt}")
+        };
+        (req, orig, attempt, label)
+    }
+
+    /// Emits every segment's admission, prefill DAG and prefill
+    /// terminal in planned order, every cohort's decode chain, and every
+    /// surviving segment's Release; then attaches the segment table the
+    /// page proofs walk, against `page_capacity` free pages.
+    fn build(&mut self, page_capacity: usize) -> Result<()> {
+        // Admissions are chained in planned order: the planner's page
+        // accounting for segment `s` assumes every earlier-planned
+        // segment already reserved (or skipped) its pages, but a fault-
+        // poisoned chain can collapse early and let a later-planned
+        // Admit's gates resolve first — letting it steal pages the plan
+        // earmarked for an earlier one and fail its physical reserve.
+        // The chain pins physical reservation order to planned order
+        // (Admit is a barrier, so a failed predecessor doesn't poison
+        // it; the page-accounting inequality then holds by induction).
+        let segments = self.segments;
+        let mut prev_admit: Option<usize> = None;
+        for (s, seg) in segments.iter().enumerate() {
+            let mut deps: Vec<usize> = Vec::with_capacity(seg.gates.len() + 1);
+            for &(g, kind) in &seg.gates {
+                deps.push(match kind {
+                    GateKind::Done if !segments[g].evicted => self.release_of(g)?,
+                    // An evicted incarnation's terminal is its Evicted
+                    // task, in the prefill-finish slot.
+                    GateKind::Done | GateKind::PrefillDone => self.builds[g].prefill_finish,
+                });
+            }
+            deps.extend(prev_admit);
+            let admit = self.push_admit(s, deps)?;
+            prev_admit = Some(admit);
+            let prefill_finish = self.push_prefill(s, admit)?;
+            self.builds.push(SegBuild {
+                admit,
+                prefill_finish,
+                last_decode: None,
+                release: None,
+            });
+            if !seg.evicted {
+                self.cohorts[seg.cohort].0.push(s);
+            }
+        }
+        for c in 0..self.cohorts.len() {
+            if !self.cohorts[c].1 {
+                self.flush_cohort(c)?;
+            }
+        }
+        // Every surviving segment returns its pages.
+        for (s, seg) in segments.iter().enumerate() {
+            if !seg.evicted && self.builds[s].release.is_none() {
+                self.emit_release(s)?;
+            }
+        }
+        let table = segments
+            .iter()
+            .zip(&self.builds)
+            .map(|(seg, b)| Segment {
+                admit: Some(b.admit),
+                terminal: if seg.evicted {
+                    Some(b.prefill_finish)
+                } else {
+                    b.release
+                },
+                fresh_blocks: seg.fresh,
+                // A surviving prefill publishes its full prompt pages to
+                // the global cache: those stay resident past Release (the
+                // cache holds a reference) and only return via
+                // eviction/flush — the planner's final figure, net of
+                // withdrawn promises (a last-resort reclaim credits them
+                // at `reclaims` instead).
+                retained_blocks: seg.retained,
+                reused: seg.reused_pages(),
+                reclaims: seg.reclaims.clone(),
+            })
+            .collect();
+        self.graph.set_pages(page_capacity, table);
+        Ok(())
+    }
+
+    /// Segment `g`'s Release task, emitted — after its cohort's decode
+    /// chain — the first time a later admission waits for it.
+    fn release_of(&mut self, g: usize) -> Result<usize> {
+        let c = self.segments[g].cohort;
+        if !self.cohorts[c].1 {
+            self.flush_cohort(c)?;
+        }
+        match self.builds[g].release {
+            Some(id) => Ok(id),
+            None => self.emit_release(g),
+        }
+    }
+
+    /// Admission: reserve segment `s`'s pages on top of its reused
+    /// prefix, after `deps`.
+    fn push_admit(&mut self, s: usize, deps: Vec<usize>) -> Result<usize> {
+        let (requests, segments, faults) = (self.requests, self.segments, self.faults);
+        let seg = &segments[s];
+        let (req, orig, attempt, rlabel) = self.identity(s);
+        let request = &requests[req];
+        let pool = Arc::clone(self.pool);
+        let slots = self.slots;
+        let slot = &slots[req];
+        // The exact pages the plan reuses: the full pages along the
+        // prompt, plus a partial tail — resident at plan time, or
+        // pending, in which case it is the page below them on its
+        // producer's own prompt path.
+        let bt = pool.config().block_tokens;
+        let tail = seg.hit.as_ref().and_then(|hit| hit.tail);
+        let path: &[u32] = match (&seg.hit, tail) {
+            (Some(hit), Some((CachedBlock::Pending(p), _))) => {
+                &requests[segments[p].req].prompt[..hit.tokens + bt]
+            }
+            _ => &request.prompt[..seg.prefix_full_tokens()],
+        };
+        // Pages a stage-2 reclaim counted free: each reclaimed segment's
+        // promised pages are the last `retained` of its full-page path,
+        // and readers' pages sit below them.
+        let reclaim_paths: Vec<&[u32]> = seg
+            .reclaims
+            .iter()
+            .map(|&g| {
+                let prompt = &requests[segments[g].req].prompt;
+                let first = prompt.len() / bt - segments[g].retained;
+                &prompt[..(first + 1) * bt]
+            })
+            .collect();
+        let total = request.total_tokens();
+        let admit_fault = faults
+            .fault_at(orig, attempt + 1, FaultSite::Admit)
+            .copied();
+        let prefix_cache = self.cache;
+        let body: TaskFn<'run> = Box::new(move || {
+            if let Some(f) = admit_fault {
+                let msg = format!("injected admit fault: request {orig}");
+                match f.mode {
+                    FaultMode::Panic => panic!("{msg}"),
+                    FaultMode::Error => return Err(msg),
+                }
+            }
+            // Take back the reclaimed pages: their producers and readers
+            // are done (the gates order that).
+            for path in &reclaim_paths {
+                prefix_cache
+                    .evict_subtree(&pool, path)
+                    .map_err(|e| e.to_string())?;
+            }
+            // Resolve the planned pages to resident blocks. A page still
+            // pending means its producer never published it (failed,
+            // cancelled, preempted) — a contained failure the retry round
+            // replans.
+            let mut prefix = prefix_cache
+                .resident(path)
+                .ok_or("prefix producer prefill incomplete")?;
+            let tail = match tail {
+                Some((CachedBlock::Filled(block), rows)) => Some((block, rows)),
+                Some((CachedBlock::Pending(_), rows)) => prefix.pop().map(|block| (block, rows)),
+                None => None,
+            };
+            // Retain the reused full pages, then row-copy the partial
+            // tail into the first fresh page.
+            let c = PagedKvCache::reserve_with_prefix(&pool, &prefix, total)
+                .map_err(|e| e.to_string())?;
+            if let Some((src, rows)) = tail {
+                let dst = c.table().blocks()[prefix.len()];
+                if let Err(e) = pool.copy_rows(src, dst, rows) {
+                    let mut c = c;
+                    let _ = c.release();
+                    return Err(e.to_string());
+                }
+            }
+            *plain_lock(slot) = Some(c);
+            Ok(())
         });
+        let mut facts = TaskFacts {
+            class: TaskClass::Admit,
+            owner: Some(s),
+            gated: true,
+            fallible: true,
+            serialized: true,
+            writes: vec![self.slot_cell(req)],
+            ..TaskFacts::default()
+        };
+        // The row-copied tail is written into the reader's own space,
+        // read from the producer's rows when the page was pending at
+        // plan time.
+        if let Some((page, rows)) = tail {
+            let lo = seg.prefix_full_tokens();
+            for layer in 0..self.layers {
+                if let CachedBlock::Pending(p) = page {
+                    facts.reads.push(self.kv(p, layer, lo, lo + rows));
+                }
+                facts.writes.push(self.kv(s, layer, lo, lo + rows));
+            }
+        }
+        // Admit is a barrier (it must *run* after failed gates so a
+        // prefix whose producer never published it fails the reader
+        // cleanly), but it is gate-skippable: a request already cancelled
+        // or expired reserves nothing.
+        self.push(
+            LaneTask {
+                label: format!("{rlabel}-Admit"),
+                processor: self.decode_proc,
+                duration_ms: FINISH_TASK_MS,
+                release_ms: request.arrival_ms,
+                barrier: true,
+                facts,
+            },
+            deps,
+            TaskMeta {
+                member: req,
+                attempt,
+                kind: ServeTaskKind::Admit,
+                members: vec![req],
+            },
+            contain(&self.runtime[req], body),
+        )
     }
-    plan
+
+    /// Segment `s`'s suffix prefill DAG (roots wait on `admit`) and its
+    /// terminal: last-hidden assembly — or, for a preempted incarnation,
+    /// the eviction (pages freed, work discarded). Returns the terminal.
+    fn push_prefill(&mut self, s: usize, admit: usize) -> Result<usize> {
+        let (requests, segments, runtime, faults) =
+            (self.requests, self.segments, self.runtime, self.faults);
+        let seg = &segments[s];
+        let (req, orig, attempt, rlabel) = self.identity(s);
+        let request = &requests[req];
+        let dur_factor = faults.duration_factor(orig, attempt + 1);
+        let (dags, programs) = (self.dags, self.programs);
+        let dag = &dags[s];
+        let program = &programs[s];
+        let offset = self.graph.len();
+        for ((i, task), closure) in dag.tasks().iter().enumerate().zip(program.closures(dag)) {
+            let mut deps: Vec<usize> = dag.deps(i).iter().map(|&d| d + offset).collect();
+            if deps.is_empty() {
+                deps.push(admit);
+            }
+            let mut facts = TaskFacts {
+                owner: Some(s),
+                gated: true,
+                fallible: true,
+                reads: vec![self.slot_cell(req)],
+                ..TaskFacts::default()
+            };
+            let footprint = program.kv_footprint(task);
+            if let Some(w) = footprint.writes {
+                facts.writes.push(self.kv(s, task.layer, w.start, w.end));
+            }
+            if let Some(r) = footprint.reads {
+                self.kv_reads(s, task.layer, r.end, &mut facts.reads);
+            }
+            // Scripted prefill faults replace the matching stage closure
+            // (the Main-path FFN of the targeted chunk/layer — a unique
+            // task per site) outright.
+            let site = FaultSite::Prefill {
+                chunk: task.chunk,
+                layer: task.layer,
+            };
+            let fault = (task.role == TaskRole::Main && task.stage == Stage::Ffn)
+                .then(|| faults.fault_at(orig, attempt + 1, site))
+                .flatten();
+            let body: TaskFn<'run> = match fault {
+                None => closure,
+                Some(f) => {
+                    let msg = format!(
+                        "injected prefill fault: request {orig} chunk {} layer {}",
+                        task.chunk, task.layer
+                    );
+                    match f.mode {
+                        FaultMode::Panic => Box::new(move || panic!("{msg}")),
+                        FaultMode::Error => Box::new(move || Err(msg)),
+                    }
+                }
+            };
+            self.push(
+                LaneTask {
+                    label: format!("{rlabel}-{}", task.label),
+                    processor: task.processor,
+                    duration_ms: task.duration_ms * dur_factor,
+                    release_ms: request.arrival_ms,
+                    barrier: false,
+                    facts,
+                },
+                deps,
+                TaskMeta {
+                    member: req,
+                    attempt,
+                    kind: ServeTaskKind::PrefillStage {
+                        chunk: task.chunk,
+                        layer: task.layer,
+                        stage: task.stage,
+                        role: task.role,
+                    },
+                    members: vec![req],
+                },
+                contain(&runtime[req], body),
+            )?;
+        }
+
+        let mut deps: Vec<usize> = dag_sinks(dag).iter().map(|&k| k + offset).collect();
+        if deps.is_empty() {
+            deps.push(admit);
+        }
+        let slots = self.slots;
+        let slot = &slots[req];
+        let meta = |kind| TaskMeta {
+            member: req,
+            attempt,
+            kind,
+            members: vec![req],
+        };
+        if seg.evicted {
+            // An eviction is a containment barrier (its page release must
+            // run even when the incarnation's prefill failed).
+            let facts = TaskFacts {
+                class: TaskClass::Evict,
+                owner: Some(s),
+                writes: vec![self.slot_cell(req)],
+                ..TaskFacts::default()
+            };
+            return self.push(
+                LaneTask {
+                    label: format!("{rlabel}-Evicted"),
+                    processor: self.decode_proc,
+                    duration_ms: FINISH_TASK_MS,
+                    release_ms: request.arrival_ms,
+                    barrier: true,
+                    facts,
+                },
+                deps,
+                meta(ServeTaskKind::Evicted),
+                Box::new(move || release_slot(slot)),
+            );
+        }
+        let states = self.states;
+        let state = &states[req];
+        let pool = Arc::clone(self.pool);
+        let cache = self.cache;
+        let prompt = &request.prompt;
+        // Only pages the segment still promises are published: a promise
+        // withdrawn at plan time (pages reclaimed to admit another
+        // request) means they return to the pool at its release, exactly
+        // as the plan counted them.
+        let publish = seg.retained > 0;
+        let body: TaskFn<'run> = Box::new(move || {
+            let last = program.last_hidden_row().map_err(|e| e.to_string())?;
+            plain_lock(state).last_hidden = Some(last);
+            if publish {
+                // Fill this segment's pending pages for same-round
+                // readers and keep them for later batches. Failure here
+                // is a contained request failure, like any prefill fault.
+                let blocks = {
+                    let guard = plain_lock(slot);
+                    let c = guard.as_ref().ok_or("prefill cache slot empty")?;
+                    c.table().blocks().to_vec()
+                };
+                cache
+                    .insert(&pool, prompt, &blocks, s)
+                    .map_err(|e| e.to_string())?;
+            }
+            Ok(())
+        });
+        let facts = TaskFacts {
+            owner: Some(s),
+            gated: true,
+            fallible: true,
+            reads: vec![self.slot_cell(req)],
+            ..TaskFacts::default()
+        };
+        // A real PrefillFinish is not a barrier: a failed prefill poisons
+        // it.
+        self.push(
+            LaneTask {
+                label: format!("{rlabel}-PrefillFinish"),
+                processor: self.decode_proc,
+                duration_ms: FINISH_TASK_MS,
+                release_ms: request.arrival_ms,
+                barrier: false,
+                facts,
+            },
+            deps,
+            meta(ServeTaskKind::PrefillFinish),
+            contain(&runtime[req], body),
+        )
+    }
+
+    /// Emits cohort `c`'s decode chain: one (possibly batched) decode
+    /// task per step, each member's chain starting at its prefill
+    /// finish. Releases are emitted separately ([`Self::release_of`] or
+    /// the final sweep in [`Self::build`]).
+    fn flush_cohort(&mut self, c: usize) -> Result<()> {
+        let (requests, segments, input) = (self.requests, self.segments, self.input);
+        let (states, slots, runtime, faults, t) =
+            (self.states, self.slots, self.runtime, self.faults, self.t);
+        let on_token = self.on_token;
+        self.cohorts[c].1 = true;
+        let members = std::mem::take(&mut self.cohorts[c].0);
+        let mut chain_prev: Vec<usize> = members
+            .iter()
+            .map(|&s| self.builds[s].prefill_finish)
+            .collect();
+        let max_steps = members
+            .iter()
+            .map(|&s| requests[segments[s].req].max_new_tokens)
+            .max()
+            .unwrap_or(0);
+        for step in 0..max_steps {
+            let active: Vec<usize> = (0..members.len())
+                .filter(|&i| step < requests[segments[members[i]].req].max_new_tokens)
+                .collect();
+            let width = active.len();
+            let mut deps: Vec<usize> = active.iter().map(|&i| chain_prev[i]).collect();
+            deps.sort_unstable();
+            deps.dedup();
+            let duration = active
+                .iter()
+                .map(|&i| {
+                    let req = segments[members[i]].req;
+                    let factor = faults.duration_factor(
+                        input.orig_ids[req],
+                        input.attempt_base[req] + segments[members[i]].attempt + 1,
+                    );
+                    self.dsim.token_ms(requests[req].prompt.len() + step) * factor
+                })
+                .fold(0.0, f64::max);
+            let release = active
+                .iter()
+                .map(|&i| requests[segments[members[i]].req].arrival_ms)
+                .fold(0.0, f64::max);
+            let first = members[active[0]];
+            let first_req = segments[first].req;
+            let (label, kind) = if width == 1 {
+                (
+                    format!("R{}-D{step}", input.orig_ids[first_req]),
+                    ServeTaskKind::Decode { step },
+                )
+            } else {
+                (
+                    format!("C{c}-D{step}x{width}"),
+                    ServeTaskKind::DecodeBatch { step, width },
+                )
+            };
+            let mut facts = TaskFacts {
+                owner: Some(first),
+                gated: true,
+                fallible: true,
+                ..TaskFacts::default()
+            };
+            for &i in &active {
+                let (s, req) = (members[i], segments[members[i]].req);
+                facts.reads.push(self.slot_cell(req));
+                // Step 0 samples from the prefill's last hidden row: no
+                // forward pass, no KV traffic.
+                if step > 0 {
+                    let pos = requests[req].prompt.len() + step - 1;
+                    for layer in 0..self.layers {
+                        facts.writes.push(self.kv(s, layer, pos, pos + 1));
+                        self.kv_reads(s, layer, pos + 1, &mut facts.reads);
+                    }
+                }
+            }
+            let member_info: Vec<DecodeMember> = active
+                .iter()
+                .map(|&i| {
+                    let req = segments[members[i]].req;
+                    DecodeMember {
+                        member: req,
+                        prompt_len: requests[req].prompt.len(),
+                        orig: input.orig_ids[req],
+                        attempt: input.attempt_base[req] + segments[members[i]].attempt + 1,
+                    }
+                })
+                .collect();
+            // Decode tasks are containment barriers: a failed (or
+            // skipped) member's chain must not poison the cohort — the
+            // task runs for whoever is still live and the per-member
+            // filter inside the body excludes the rest.
+            let id = self.push(
+                LaneTask {
+                    label,
+                    processor: self.decode_proc,
+                    duration_ms: duration,
+                    release_ms: release,
+                    barrier: true,
+                    facts,
+                },
+                deps,
+                TaskMeta {
+                    member: first_req,
+                    attempt: input.attempt_base[first_req] + segments[first].attempt,
+                    kind,
+                    members: active.iter().map(|&i| segments[members[i]].req).collect(),
+                },
+                Box::new(move || {
+                    decode_step_body(
+                        &member_info,
+                        step,
+                        states,
+                        slots,
+                        runtime,
+                        faults,
+                        t,
+                        on_token,
+                    )
+                }),
+            )?;
+            for &i in &active {
+                chain_prev[i] = id;
+                self.token_tasks[segments[members[i]].req][step] = id;
+            }
+        }
+        for (i, &s) in members.iter().enumerate() {
+            self.builds[s].last_decode = Some(chain_prev[i]);
+        }
+        Ok(())
+    }
+
+    /// Emits segment `s`'s Release task: pages go back once the member's
+    /// stream is done. Pages a later reader reuses are not among them —
+    /// the prefix cache holds its own reference on every published
+    /// prompt page.
+    fn emit_release(&mut self, s: usize) -> Result<usize> {
+        let (req, orig, attempt, _) = self.identity(s);
+        let last_decode = self.builds[s].last_decode.ok_or_else(|| Error::Internal {
+            what: format!("release for segment {s} emitted before its cohort was flushed"),
+        })?;
+        let slots = self.slots;
+        let slot = &slots[req];
+        // Release is a containment barrier and is never gate-skipped:
+        // pages must return to the pool on every terminal path.
+        let id = self.push(
+            LaneTask {
+                label: format!("R{orig}-Release"),
+                processor: self.decode_proc,
+                duration_ms: FINISH_TASK_MS,
+                release_ms: self.requests[req].arrival_ms,
+                barrier: true,
+                facts: TaskFacts {
+                    class: TaskClass::Release,
+                    owner: Some(s),
+                    writes: vec![self.slot_cell(req)],
+                    ..TaskFacts::default()
+                },
+            },
+            vec![last_decode],
+            TaskMeta {
+                member: req,
+                attempt,
+                kind: ServeTaskKind::Release,
+                members: vec![req],
+            },
+            Box::new(move || release_slot(slot)),
+        )?;
+        self.builds[s].release = Some(id);
+        Ok(id)
+    }
 }
 
 /// The numeric body of one (possibly batched) decode step: filter the
@@ -3705,6 +3624,34 @@ mod tests {
     }
 
     #[test]
+    fn planner_drops_reuse_that_cannot_fit_beside_its_producer() {
+        // 3-token pages, 7-page pool. R1 shares R0's first 10 prompt
+        // tokens: reusing them needs 4 fresh pages beside the 4 R0
+        // keeps in the cache, 8 of 7. Planned without reuse, R1's 7
+        // pages fit once R0's unread promise is withdrawn.
+        let mut requests = reqs(&[(12, 4), (17, 4)]);
+        requests[1].prompt[10] = 90;
+        let (segs, _, shared_blocks) = plan_batch(
+            &requests,
+            &pool(3, 7),
+            &PrefixCache::new(3),
+            8,
+            PressurePolicy::EvictYoungest,
+            true,
+            1,
+            &[],
+            None,
+        )
+        .unwrap();
+        assert_eq!(segs.len(), 2);
+        assert!(segs[1].hit.is_none());
+        assert_eq!(segs[1].fresh, 7);
+        assert_eq!(segs[0].retained, 0, "the unread promise is withdrawn");
+        assert!(segs[1].gates.contains(&(0, GateKind::Done)));
+        assert_eq!(shared_blocks, 0);
+    }
+
+    #[test]
     fn planner_cohorts_respect_width_and_gates() {
         let requests = reqs(&[(8, 4), (8, 4), (8, 4), (8, 4)]);
         // max_active 2 → segment 2 gates Done on 0, breaking its cohort.
@@ -3724,6 +3671,86 @@ mod tests {
         assert_eq!(segs[0].cohort, segs[1].cohort);
         assert_ne!(segs[1].cohort, segs[2].cohort);
         assert_eq!(segs[2].cohort, segs[3].cohort);
+    }
+
+    /// The proven plan of a same-round prefix-sharing round: R1's
+    /// 16-token prompt equals R0's, so with 4-token pages R1 reuses
+    /// three of R0's pending pages and row-copies three rows of the
+    /// fourth, gated on R0's prefill.
+    fn sharing_round_plan() -> (llmnpu_verify::Plan, llmnpu_verify::Report) {
+        use llmnpu_model::backend::FloatBackend;
+        use llmnpu_model::config::ModelConfig;
+        use llmnpu_model::weights::{synthesize, OutlierSpec};
+
+        let cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
+        let w = synthesize(&cfg, 7, OutlierSpec::default()).unwrap();
+        let be = FloatBackend::new(w.clone());
+        let t = Transformer::new(&w, &be);
+        let mut ecfg = crate::engine::EngineConfig::llmnpu(
+            ModelConfig::qwen15_18b(),
+            llmnpu_soc::spec::SocSpec::snapdragon_8gen3(),
+        );
+        ecfg.chunk_len = 4;
+        let engine = LlmNpuEngine::new(ecfg).unwrap();
+        let mut requests = reqs(&[(16, 3), (16, 3)]);
+        requests[1].prompt = requests[0].prompt.clone();
+        let opts = ServeOptions {
+            block_tokens: 4,
+            ..ServeOptions::default()
+        };
+        engine.dry_run(&t, &requests, &opts).unwrap().unwrap()
+    }
+
+    fn task_id(plan: &llmnpu_verify::Plan, label: &str) -> usize {
+        plan.tasks.iter().position(|t| t.label == label).unwrap()
+    }
+
+    /// Verifies `plan` and asserts it is rejected, with every finding of
+    /// `kind`.
+    fn assert_rejected(plan: &llmnpu_verify::Plan, kind: llmnpu_verify::FindingKind) {
+        let report = llmnpu_verify::verify(plan);
+        assert!(!report.is_clean(), "mutation must be rejected with {kind}");
+        for f in &report.findings {
+            assert_eq!(f.kind, kind, "unexpected finding {f}");
+        }
+    }
+
+    #[test]
+    fn sharing_round_proves_clean_and_mutations_are_rejected() {
+        use llmnpu_verify::FindingKind;
+
+        let (plan, report) = sharing_round_plan();
+        assert!(report.is_clean());
+        assert_eq!(llmnpu_verify::verify(&plan).stats, report.stats);
+        let reader_admit = task_id(&plan, "R1-Admit");
+        let producer_done = task_id(&plan, "R0-PrefillFinish");
+        assert!(plan.tasks[reader_admit].deps.contains(&producer_done));
+
+        // The reader admits before the producer's prefill wrote the
+        // pages it copies and attends over.
+        let mut m = plan.clone();
+        m.tasks[reader_admit].deps.retain(|&d| d != producer_done);
+        assert_rejected(&m, FindingKind::KvWriteRace);
+
+        // A prefill stage the dispatch gate never consults.
+        let mut m = plan.clone();
+        let stage = plan
+            .tasks
+            .iter()
+            .position(|t| t.label.starts_with("R0-C0-"))
+            .unwrap();
+        m.tasks[stage].facts.gated = false;
+        assert_rejected(&m, FindingKind::UngatedTask);
+
+        // A Release an upstream failure would skip.
+        let mut m = plan.clone();
+        m.tasks[task_id(&plan, "R0-Release")].barrier = false;
+        assert_rejected(&m, FindingKind::UnbarrieredCleanup);
+
+        // One page fewer than the proven peak.
+        let mut m = plan;
+        m.page_capacity = Some(report.stats.peak_pages - 1);
+        assert_rejected(&m, FindingKind::PageOverCommit);
     }
 
     #[test]

@@ -76,6 +76,7 @@ use llmnpu_obs::{EventKind, Plane, TraceSink};
 use llmnpu_soc::Processor;
 use llmnpu_tensor::kernel::parallel::Job;
 use llmnpu_tensor::Tensor;
+use llmnpu_verify::{Segment, TaskFacts};
 
 use crate::pool::WorkerPool;
 use crate::{Error, Policy, Result};
@@ -248,6 +249,11 @@ pub struct LaneTask {
     /// are barriers; numeric tasks, whose inputs genuinely do not exist
     /// after an upstream failure, are not.
     pub barrier: bool,
+    /// What the static verifier proves about the task beyond its lane,
+    /// times and edges, recorded by the task's builder: ownership,
+    /// gating, fallibility, serialization and KV accesses. Neutral by
+    /// default (bare prefill graphs); the serving layer fills it in.
+    pub facts: TaskFacts,
 }
 
 /// A dependency-structured batch of lane tasks — the generic input of
@@ -257,6 +263,10 @@ pub struct LaneTask {
 pub struct LaneGraph {
     tasks: Vec<LaneTask>,
     deps: Vec<Vec<usize>>,
+    /// Pool pages the graph's admissions may hold (`None` for graphs
+    /// that reserve none), and who reserves and returns them.
+    page_capacity: Option<usize>,
+    segments: Vec<Segment>,
 }
 
 impl LaneGraph {
@@ -324,21 +334,32 @@ impl LaneGraph {
         lanes
     }
 
-    /// Translates the graph into the static verifier's structural IR:
-    /// same task ids, lanes numbered in the fixed NPU/CPU/GPU order,
-    /// every task classified neutrally (no serve-level metadata — the
-    /// serving layer enriches its own translation with task classes,
-    /// page segments, and KV write sets).
+    /// Attaches the graph's page accounting for the verifier: the pool
+    /// pages its admissions may hold, and one [`Segment`] per admission
+    /// naming its Admit and terminal tasks by id in this graph.
+    pub fn set_pages(&mut self, capacity: usize, segments: Vec<Segment>) {
+        self.page_capacity = Some(capacity);
+        self.segments = segments;
+    }
+
+    /// Translates the graph into the static verifier's IR — the one
+    /// graph-to-[`Plan`](llmnpu_verify::Plan) translation: same task
+    /// ids, lanes numbered in the fixed NPU/CPU/GPU order, each task's
+    /// carried [`TaskFacts`], and the page accounting from
+    /// [`LaneGraph::set_pages`].
     ///
-    /// Structural verification of the result catches dependency damage,
-    /// cycles, and infeasible timings; it cannot (by construction)
-    /// produce barrier/gate or page findings.
+    /// A graph with neutral facts and no pages (a bare prefill DAG)
+    /// proves the structural checks only: dependency damage, cycles,
+    /// and infeasible timings. A serving round's graph carries
+    /// everything the full proof needs.
     #[must_use]
     pub fn verify_plan(&self) -> llmnpu_verify::Plan {
         const LANE_ORDER: [Processor; 3] = [Processor::Npu, Processor::Cpu, Processor::Gpu];
         let mut plan = llmnpu_verify::Plan {
+            tasks: Vec::with_capacity(self.tasks.len()),
             lane_names: LANE_ORDER.iter().map(ToString::to_string).collect(),
-            ..llmnpu_verify::Plan::default()
+            page_capacity: self.page_capacity,
+            segments: self.segments.clone(),
         };
         for (i, task) in self.tasks.iter().enumerate() {
             let lane = LANE_ORDER
@@ -350,6 +371,7 @@ impl LaneGraph {
             vt.release_ms = task.release_ms;
             vt.duration_ms = task.duration_ms;
             vt.barrier = task.barrier;
+            vt.facts = task.facts.clone();
             plan.tasks.push(vt);
         }
         plan
@@ -371,6 +393,7 @@ impl LaneGraph {
                     duration_ms: task.duration_ms,
                     release_ms: 0.0,
                     barrier: false,
+                    facts: TaskFacts::default(),
                 },
                 dag.deps(i).to_vec(),
             )?;
@@ -687,6 +710,16 @@ fn task_closure<'run>(ctx: &'run ExecCtx<'_, '_>, task: &Task, split: bool) -> T
     })
 }
 
+/// The absolute KV positions one prefill DAG task touches
+/// ([`PrefillProgram::kv_footprint`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KvFootprint {
+    /// Positions whose K/V rows the task writes.
+    pub writes: Option<std::ops::Range<usize>>,
+    /// Positions whose K/V rows the task reads.
+    pub reads: Option<std::ops::Range<usize>>,
+}
+
 /// One request's prefill, prepared for execution: the per-chunk
 /// activation slots, position-addressed KV buffers, and the mapping from
 /// DAG tasks to stage closures.
@@ -767,11 +800,16 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
             });
         }
         let cfg = t.config();
-        if let Some(bad) = dag.tasks().iter().find(|task| task.layer >= cfg.layers) {
+        if let Some(bad) = dag
+            .tasks()
+            .iter()
+            .find(|task| task.layer >= cfg.layers || task.chunk >= plan.chunks)
+        {
             return Err(Error::Exec {
                 what: format!(
-                    "dag task {} references layer {} of a {}-layer model",
-                    bad.label, bad.layer, cfg.layers
+                    "dag task {} references layer {} of a {}-layer model or chunk {} of a \
+                     {}-chunk plan",
+                    bad.label, bad.layer, cfg.layers, bad.chunk, plan.chunks
                 ),
             });
         }
@@ -849,6 +887,29 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
                 task_closure(&self.ctx, task, is_split)
             })
             .collect()
+    }
+
+    /// The absolute KV positions DAG task `task` (of the DAG this
+    /// program was built for) writes and reads, from the same shadow
+    /// split set and chunk bounds its closure uses: the KV-appending
+    /// `QkvLinear` task — Main, or MergeSync when a shadow task took
+    /// the stage — writes its chunk's rows, and Main `Attention` reads
+    /// every position through its chunk's end (Equation 2).
+    #[must_use]
+    pub fn kv_footprint(&self, task: &Task) -> KvFootprint {
+        let (start, len) = self.ctx.bounds[task.chunk];
+        let writes = match (task.role, task.stage) {
+            (TaskRole::Main, Stage::QkvLinear) => {
+                !self.split.contains(&(task.layer, Stage::QkvLinear))
+            }
+            (TaskRole::MergeSync, Stage::QkvLinear) => true,
+            _ => false,
+        };
+        let reads = task.role == TaskRole::Main && task.stage == Stage::Attention;
+        KvFootprint {
+            writes: writes.then_some(start..start + len),
+            reads: reads.then_some(0..start + len),
+        }
     }
 
     /// Assembles the final hidden states `[prompt_len, hidden]` in chunk
@@ -1424,10 +1485,10 @@ pub fn execute_lane_graph<'run>(
     if graph.is_empty() {
         return Ok(Vec::new());
     }
-    // Debug builds statically verify every graph they execute: the
-    // structural half of the plan checks (dependency sanity, cycles,
-    // timing feasibility) runs before a single task is dispatched, so
-    // every integration test doubles as a verifier fixture.
+    // Debug builds statically verify every graph they execute, with
+    // whatever facts and page accounting its builder attached, before a
+    // single task is dispatched — so every integration test doubles as
+    // a verifier fixture.
     #[cfg(debug_assertions)]
     {
         let report = llmnpu_verify::verify(&graph.verify_plan());

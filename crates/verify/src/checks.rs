@@ -124,9 +124,9 @@ pub(crate) fn run(plan: &Plan) -> Report {
 
     // ---- 5 (order-independent half): barrier/gate classification ------
     for (t, task) in plan.tasks.iter().enumerate() {
-        match task.class {
+        match task.facts.class {
             TaskClass::Release | TaskClass::Evict => {
-                if task.gated {
+                if task.facts.gated {
                     findings.push(Finding {
                         kind: FindingKind::UnbarrieredCleanup,
                         tasks: vec![t],
@@ -161,12 +161,12 @@ pub(crate) fn run(plan: &Plan) -> Report {
                         ),
                     });
                 }
-                if task.owner.is_some() && !task.gated {
+                if task.facts.owner.is_some() && !task.facts.gated {
                     findings.push(ungated(plan, t));
                 }
             }
             TaskClass::Other => {
-                if task.owner.is_some() && !task.gated {
+                if task.facts.owner.is_some() && !task.facts.gated {
                     findings.push(ungated(plan, t));
                 }
             }
@@ -220,7 +220,7 @@ pub(crate) fn run(plan: &Plan) -> Report {
     // ---- Shared reachability index ------------------------------------
     let mut interesting = vec![false; n];
     for (t, task) in plan.tasks.iter().enumerate() {
-        if task.serialized || !task.reads.is_empty() || !task.writes.is_empty() {
+        if task.facts.serialized || !task.facts.reads.is_empty() || !task.facts.writes.is_empty() {
             interesting[t] = true;
         }
     }
@@ -243,7 +243,7 @@ pub(crate) fn run(plan: &Plan) -> Report {
             .tasks
             .iter()
             .enumerate()
-            .filter(|(_, task)| task.serialized)
+            .filter(|(_, task)| task.facts.serialized)
             .map(|(t, task)| (task.lane, t))
             .collect();
         by_lane.sort_by_key(|&(lane, t)| (lane, topo_pos[t]));
@@ -279,12 +279,12 @@ pub(crate) fn run(plan: &Plan) -> Report {
         // (space, lo, hi, task, is_write), grouped by space via sort.
         let mut accs: Vec<(u64, u64, u64, usize, bool)> = Vec::new();
         for (t, task) in plan.tasks.iter().enumerate() {
-            for a in &task.reads {
+            for a in &task.facts.reads {
                 if a.lo < a.hi {
                     accs.push((a.space, a.lo, a.hi, t, false));
                 }
             }
-            for a in &task.writes {
+            for a in &task.facts.writes {
                 if a.lo < a.hi {
                     accs.push((a.space, a.lo, a.hi, t, true));
                 }
@@ -429,7 +429,7 @@ fn page_checks(
                     });
                 }
                 let tt = &plan.tasks[term];
-                if !matches!(tt.class, TaskClass::Release | TaskClass::Evict) {
+                if !matches!(tt.facts.class, TaskClass::Release | TaskClass::Evict) {
                     // Barrier/gating of real Release/Evict tasks is
                     // checked by classification above; this catches a
                     // terminal that is not a cleanup task at all.
@@ -451,16 +451,18 @@ fn page_checks(
     // segment whose cleanup the checks above proved poison-proof (or to
     // no segment at all — structural plans carry no fault metadata).
     for (t, task) in plan.tasks.iter().enumerate() {
-        if !task.fallible {
+        if !task.facts.fallible {
             continue;
         }
-        let Some(owner) = task.owner else { continue };
+        let Some(owner) = task.facts.owner else {
+            continue;
+        };
         let covered = plan
             .segments
             .get(owner)
             .and_then(|seg| seg.terminal)
             .and_then(|term| plan.tasks.get(term))
-            .is_some_and(|term| term.barrier && !term.gated);
+            .is_some_and(|term| term.barrier && !term.facts.gated);
         if !covered {
             findings.push(Finding {
                 kind: FindingKind::UnbarrieredCleanup,

@@ -17,7 +17,7 @@
 //!    ([`FindingKind::InvalidDep`], [`FindingKind::InvalidTime`]), and
 //!    cycle detection via Kahn's algorithm ([`FindingKind::Cycle`]).
 //!    A cyclic plan would deadlock the dispatcher's progress loop.
-//! 2. **Lane serialization** — tasks marked [`PlanTask::serialized`]
+//! 2. **Lane serialization** — tasks marked [`TaskFacts::serialized`]
 //!    mutate shared pool state in an order the plan's accounting relies
 //!    on; any two of them on one processor lane must be totally ordered
 //!    by dependency edges, not just serialized at runtime by the lane
@@ -50,11 +50,15 @@
 //!    requests stop consuming lanes.
 //!
 //! The crate is dependency-free by design (it is the auditor, not the
-//! audited): `llmnpu-sched` translates a bare `LaneGraph` into a
-//! structural [`Plan`] for debug-build verification inside the
-//! executor, and `llmnpu-core` enriches the translation with serve's
-//! plan metadata (task kinds, page accounting, KV write sets) for the
-//! full proof after every plan splice.
+//! audited). `llmnpu-sched`'s `LaneGraph::verify_plan` is the one
+//! translation into a [`Plan`]: each lane task carries its own
+//! [`TaskFacts`], recorded by whoever built it, and a graph may carry
+//! its page accounting (capacity and [`Segment`] table). Bare prefill
+//! graphs keep neutral facts and prove only the structural checks;
+//! `llmnpu-core`'s serving rounds attach task classes, gating, KV
+//! accesses and segments as they push each task, so serving proves the
+//! graph it runs — before every round, and again in the executor's
+//! debug-build hook.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,7 +66,7 @@
 mod checks;
 
 /// Classification of a task for plan-level accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TaskClass {
     /// Reserves a segment's KV pages (optionally on top of reused
     /// prefix pages). The page-budget proof walks these in plan order.
@@ -73,6 +77,7 @@ pub enum TaskClass {
     /// an evicted incarnation).
     Evict,
     /// Any other task: compute stages, decode steps, bookkeeping.
+    #[default]
     Other,
 }
 
@@ -110,22 +115,14 @@ impl Access {
     }
 }
 
-/// One task of a plan under verification.
-#[derive(Debug, Clone)]
-pub struct PlanTask {
-    /// Human-readable label, echoed in findings.
-    pub label: String,
-    /// Processor lane the task dispatches on.
-    pub lane: usize,
-    /// Earliest dispatch time (arrival release).
-    pub release_ms: f64,
-    /// Modeled duration.
-    pub duration_ms: f64,
-    /// Prerequisite task ids.
-    pub deps: Vec<usize>,
-    /// Poison-absorbing barrier: runs even when a dependency failed or
-    /// was skipped (the executor's containment boundary).
-    pub barrier: bool,
+/// What a task's builder knows about it beyond its lane, times and
+/// edges: ownership, gating, failure and KV accesses. Recorded where
+/// the task is created, so the verifier proves the graph that runs.
+///
+/// The default is neutral: unowned, ungated, infallible,
+/// unserialized, [`TaskClass::Other`], no accesses.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TaskFacts {
     /// Consulted by the dispatch gate: may be skipped once its owner is
     /// terminal (cancelled, expired, failed).
     pub gated: bool,
@@ -144,11 +141,30 @@ pub struct PlanTask {
     pub writes: Vec<Access>,
 }
 
+/// One task of a plan under verification.
+#[derive(Debug, Clone)]
+pub struct PlanTask {
+    /// Human-readable label, echoed in findings.
+    pub label: String,
+    /// Processor lane the task dispatches on.
+    pub lane: usize,
+    /// Earliest dispatch time (arrival release).
+    pub release_ms: f64,
+    /// Modeled duration.
+    pub duration_ms: f64,
+    /// Prerequisite task ids.
+    pub deps: Vec<usize>,
+    /// Poison-absorbing barrier: runs even when a dependency failed or
+    /// was skipped (the executor's containment boundary).
+    pub barrier: bool,
+    /// Ownership, gating, failure and access facts.
+    pub facts: TaskFacts,
+}
+
 impl PlanTask {
     /// A task with the given label, lane, and dependencies; every other
-    /// field starts at its neutral default (non-barrier, ungated,
-    /// infallible, unserialized, unowned, [`TaskClass::Other`], no
-    /// accesses, zero times).
+    /// field starts at its neutral default (non-barrier, zero times,
+    /// default [`TaskFacts`]).
     #[must_use]
     pub fn new(label: impl Into<String>, lane: usize, deps: Vec<usize>) -> Self {
         PlanTask {
@@ -158,13 +174,7 @@ impl PlanTask {
             duration_ms: 0.0,
             deps,
             barrier: false,
-            gated: false,
-            fallible: false,
-            serialized: false,
-            owner: None,
-            class: TaskClass::Other,
-            reads: Vec::new(),
-            writes: Vec::new(),
+            facts: TaskFacts::default(),
         }
     }
 }
@@ -305,7 +315,7 @@ impl std::fmt::Display for Finding {
 
 /// What the verifier proved, sized: the denominators behind a clean
 /// report.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Tasks analyzed.
     pub tasks: usize,

@@ -15,45 +15,45 @@ fn kinds(plan: &Plan) -> Vec<FindingKind> {
 /// invariant broken.
 fn clean_plan() -> Plan {
     let mut admit0 = PlanTask::new("admit r0", 0, vec![]);
-    admit0.class = TaskClass::Admit;
+    admit0.facts.class = TaskClass::Admit;
     admit0.barrier = true;
-    admit0.gated = true;
-    admit0.serialized = true;
-    admit0.owner = Some(0);
+    admit0.facts.gated = true;
+    admit0.facts.serialized = true;
+    admit0.facts.owner = Some(0);
 
     let mut prefill0 = PlanTask::new("prefill r0", 1, vec![0]);
-    prefill0.gated = true;
-    prefill0.fallible = true;
-    prefill0.owner = Some(0);
-    prefill0.writes = vec![Access::range(0, 0, 4)];
+    prefill0.facts.gated = true;
+    prefill0.facts.fallible = true;
+    prefill0.facts.owner = Some(0);
+    prefill0.facts.writes = vec![Access::range(0, 0, 4)];
 
     let mut finish0 = PlanTask::new("finish r0", 0, vec![1]);
-    finish0.gated = true;
-    finish0.owner = Some(0);
-    finish0.reads = vec![Access::range(0, 0, 4)];
+    finish0.facts.gated = true;
+    finish0.facts.owner = Some(0);
+    finish0.facts.reads = vec![Access::range(0, 0, 4)];
 
     let mut admit1 = PlanTask::new("admit r1", 0, vec![0]);
-    admit1.class = TaskClass::Admit;
+    admit1.facts.class = TaskClass::Admit;
     admit1.barrier = true;
-    admit1.gated = true;
-    admit1.serialized = true;
-    admit1.owner = Some(1);
+    admit1.facts.gated = true;
+    admit1.facts.serialized = true;
+    admit1.facts.owner = Some(1);
 
     let mut prefill1 = PlanTask::new("prefill r1", 1, vec![3]);
-    prefill1.gated = true;
-    prefill1.fallible = true;
-    prefill1.owner = Some(1);
-    prefill1.writes = vec![Access::range(1, 0, 4)];
+    prefill1.facts.gated = true;
+    prefill1.facts.fallible = true;
+    prefill1.facts.owner = Some(1);
+    prefill1.facts.writes = vec![Access::range(1, 0, 4)];
 
     let mut release0 = PlanTask::new("release r0", 0, vec![2]);
-    release0.class = TaskClass::Release;
+    release0.facts.class = TaskClass::Release;
     release0.barrier = true;
-    release0.owner = Some(0);
+    release0.facts.owner = Some(0);
 
     let mut release1 = PlanTask::new("release r1", 0, vec![4]);
-    release1.class = TaskClass::Release;
+    release1.facts.class = TaskClass::Release;
     release1.barrier = true;
-    release1.owner = Some(1);
+    release1.facts.owner = Some(1);
 
     Plan {
         tasks: vec![
@@ -155,26 +155,26 @@ fn unordered_serialized_lane_pair_is_caught() {
     // the lane serializes them in whichever order the dispatcher picks.
     let mut plan = Plan::default();
     let mut a = PlanTask::new("admit a", 2, vec![]);
-    a.serialized = true;
+    a.facts.serialized = true;
     a.barrier = true;
-    a.class = TaskClass::Admit;
+    a.facts.class = TaskClass::Admit;
     let mut b = PlanTask::new("admit b", 2, vec![]);
-    b.serialized = true;
+    b.facts.serialized = true;
     b.barrier = true;
-    b.class = TaskClass::Admit;
+    b.facts.class = TaskClass::Admit;
     plan.tasks = vec![a, b];
     assert_eq!(kinds(&plan), vec![FindingKind::UnorderedLanePair]);
 
     // Same pair with an ordering edge verifies clean.
     let mut plan2 = Plan::default();
     let mut a = PlanTask::new("admit a", 2, vec![]);
-    a.serialized = true;
+    a.facts.serialized = true;
     a.barrier = true;
-    a.class = TaskClass::Admit;
+    a.facts.class = TaskClass::Admit;
     let mut b = PlanTask::new("admit b", 2, vec![0]);
-    b.serialized = true;
+    b.facts.serialized = true;
     b.barrier = true;
-    b.class = TaskClass::Admit;
+    b.facts.class = TaskClass::Admit;
     plan2.tasks = vec![a, b];
     let report = verify(&plan2);
     assert!(report.is_clean(), "{:?}", report.findings);
@@ -183,13 +183,13 @@ fn unordered_serialized_lane_pair_is_caught() {
     // Different lanes: no ordering requirement.
     let mut plan3 = Plan::default();
     let mut a = PlanTask::new("admit a", 0, vec![]);
-    a.serialized = true;
+    a.facts.serialized = true;
     a.barrier = true;
-    a.class = TaskClass::Admit;
+    a.facts.class = TaskClass::Admit;
     let mut b = PlanTask::new("admit b", 1, vec![]);
-    b.serialized = true;
+    b.facts.serialized = true;
     b.barrier = true;
-    b.class = TaskClass::Admit;
+    b.facts.class = TaskClass::Admit;
     plan3.tasks = vec![a, b];
     assert!(verify(&plan3).is_clean());
 }
@@ -200,18 +200,18 @@ fn aliased_kv_write_is_caught() {
     // space with no ordering edge.
     let mut plan = Plan::default();
     let mut w1 = PlanTask::new("qkv chunk0", 0, vec![]);
-    w1.writes = vec![Access::range(7, 0, 4)];
+    w1.facts.writes = vec![Access::range(7, 0, 4)];
     let mut w2 = PlanTask::new("qkv chunk1", 1, vec![]);
-    w2.writes = vec![Access::range(7, 2, 6)];
+    w2.facts.writes = vec![Access::range(7, 2, 6)];
     plan.tasks = vec![w1, w2];
     assert_eq!(kinds(&plan), vec![FindingKind::KvWriteRace]);
 
     // Write/read races count too (Eq. 2 visibility without the edge).
     let mut plan2 = Plan::default();
     let mut w = PlanTask::new("qkv", 0, vec![]);
-    w.writes = vec![Access::cell(3, 9)];
+    w.facts.writes = vec![Access::cell(3, 9)];
     let mut r = PlanTask::new("attention", 1, vec![]);
-    r.reads = vec![Access::range(3, 0, 16)];
+    r.facts.reads = vec![Access::range(3, 0, 16)];
     plan2.tasks = vec![w, r];
     assert_eq!(kinds(&plan2), vec![FindingKind::KvWriteRace]);
 
@@ -219,15 +219,15 @@ fn aliased_kv_write_is_caught() {
     // are all fine.
     let mut plan3 = Plan::default();
     let mut w1 = PlanTask::new("qkv chunk0", 0, vec![]);
-    w1.writes = vec![Access::range(7, 0, 4)];
+    w1.facts.writes = vec![Access::range(7, 0, 4)];
     let mut w2 = PlanTask::new("qkv chunk1", 1, vec![0]);
-    w2.writes = vec![Access::range(7, 2, 6)];
+    w2.facts.writes = vec![Access::range(7, 2, 6)];
     let mut w3 = PlanTask::new("other layer", 1, vec![]);
-    w3.writes = vec![Access::range(8, 0, 6)];
+    w3.facts.writes = vec![Access::range(8, 0, 6)];
     let mut r1 = PlanTask::new("read a", 0, vec![]);
-    r1.reads = vec![Access::range(9, 0, 6)];
+    r1.facts.reads = vec![Access::range(9, 0, 6)];
     let mut r2 = PlanTask::new("read b", 1, vec![]);
-    r2.reads = vec![Access::range(9, 0, 6)];
+    r2.facts.reads = vec![Access::range(9, 0, 6)];
     plan3.tasks = vec![w1, w2, w3, r1, r2];
     let report = verify(&plan3);
     assert!(report.is_clean(), "{:?}", report.findings);
@@ -311,7 +311,7 @@ fn unbarriered_cleanup_is_caught() {
     // A gate-skippable release strands pages when its request goes
     // terminal.
     let mut plan = clean_plan();
-    plan.tasks[6].gated = true;
+    plan.tasks[6].facts.gated = true;
     let report = verify(&plan);
     assert!(
         report
@@ -325,7 +325,7 @@ fn unbarriered_cleanup_is_caught() {
     // A fallible task whose segment terminal is not a cleanup task at
     // all.
     let mut plan = clean_plan();
-    plan.tasks[6].class = TaskClass::Other;
+    plan.tasks[6].facts.class = TaskClass::Other;
     let report = verify(&plan);
     assert!(
         report
@@ -342,7 +342,7 @@ fn ungated_request_task_is_caught() {
     // A request-owned compute task the dispatch gate never consults
     // would keep burning lane time after its request failed.
     let mut plan = clean_plan();
-    plan.tasks[1].gated = false;
+    plan.tasks[1].facts.gated = false;
     let report = verify(&plan);
     assert_eq!(
         report.findings.iter().map(|f| f.kind).collect::<Vec<_>>(),
@@ -432,15 +432,15 @@ fn reclaim_before_a_reader_is_done_is_rejected() {
     plan.segments[0].retained_blocks = 2;
     plan.segments[1].reused = vec![(0, 2)];
     let mut admit2 = PlanTask::new("admit r2", 0, vec![3, 5]);
-    admit2.class = TaskClass::Admit;
+    admit2.facts.class = TaskClass::Admit;
     admit2.barrier = true;
-    admit2.gated = true;
-    admit2.serialized = true;
-    admit2.owner = Some(2);
+    admit2.facts.gated = true;
+    admit2.facts.serialized = true;
+    admit2.facts.owner = Some(2);
     let mut release2 = PlanTask::new("release r2", 0, vec![7]);
-    release2.class = TaskClass::Release;
+    release2.facts.class = TaskClass::Release;
     release2.barrier = true;
-    release2.owner = Some(2);
+    release2.facts.owner = Some(2);
     plan.tasks.extend([admit2, release2]);
     plan.segments.push(Segment {
         admit: Some(7),

@@ -19,6 +19,7 @@ use llmnpu::soc::latency::LatencyModel;
 use llmnpu::soc::spec::SocSpec;
 use llmnpu::verify::{verify, PlanStats, Report};
 use llmnpu::workloads::traces::{ArrivalTrace, LengthMix};
+use proptest::prelude::*;
 
 mod common;
 use common::assert_golden;
@@ -240,6 +241,59 @@ fn empty_batch_verifies_clean() {
         .unwrap();
     assert_clean("empty batch", &report);
     assert_eq!(report.stats.tasks, 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Planner-fed plans: random prompt lengths, a shared prefix at any
+    /// page alignment, pools small enough to force waiting or eviction,
+    /// decode batches of 1-4, and both pressure policies. Every plan
+    /// the planner emits proves clean, serving it completes every
+    /// request and leaks no page, and the served first round proves
+    /// exactly what the dry run proved.
+    #[test]
+    fn planner_fed_plans_verify_clean_and_match_serve(
+        shapes in prop::collection::vec((1usize..12, 1usize..5), 2..5),
+        prefix_len in 0usize..11,
+        block_tokens in 2usize..5,
+        pool_div in 1usize..4,
+        decode_batch in 1usize..5,
+        evict in prop::bool::ANY,
+    ) {
+        let prefix = tokens(prefix_len, 13);
+        let requests: Vec<GenerationRequest> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(suffix_len, max_new))| {
+                let mut prompt = prefix.clone();
+                prompt.extend(tokens(suffix_len, 5 + 2 * i as u32));
+                GenerationRequest::new(prompt, max_new)
+            })
+            .collect();
+        let needs: Vec<usize> = requests
+            .iter()
+            .map(|r| r.total_tokens().div_ceil(block_tokens))
+            .collect();
+        let opts = ServeOptions {
+            max_active: requests.len(),
+            block_tokens,
+            kv_pool_blocks: Some((needs.iter().sum::<usize>() / pool_div).max(*needs.iter().max().unwrap())),
+            pressure: if evict { PressurePolicy::EvictYoungest } else { PressurePolicy::Wait },
+            decode_batch,
+            ..ServeOptions::default()
+        };
+        let w = mini_model();
+        let be = FloatBackend::new(w.clone());
+        let t = Transformer::new(&w, &be);
+        let engine = engine(3);
+        let dry = engine.verify_serve(&t, &requests, &opts).unwrap();
+        assert_clean("planner-fed batch", &dry);
+        let report = engine.serve(&t, &requests, &opts).unwrap();
+        prop_assert_eq!(report.kv.leaked_blocks, 0);
+        prop_assert!(report.requests.iter().all(|r| r.status.is_completed()));
+        prop_assert_eq!(report.verification[0], dry.stats);
+    }
 }
 
 const PREFILL_SHAPES: [(usize, usize, f64); 3] = [(9, 3, 0.0), (12, 4, 0.5), (10, 5, 1.0)];
